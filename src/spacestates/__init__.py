@@ -3,15 +3,12 @@
 __version__ = "0.1.0"
 
 from .born import (
-    CellItem,
     CountReport,
     DepthExceeded,
-    RefinementTree,
-    ZeroDensity,
+    Refinement,
     build_refinement,
     count_estimate,
     sample_selflocation,
-    split_cell,
 )
 from .branching import (
     AsymmetrySummary,
@@ -28,6 +25,7 @@ from .branching import (
 from .dynamics import (
     Generator,
     LocalObservable,
+    NumericalFailure,
     RewriteRule,
     RuleFileError,
     SupportEscape,

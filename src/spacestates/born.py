@@ -1,24 +1,30 @@
 """Macrostate probabilities by counting equal-weight refinement cells.
 
-A densitized view is virtually subdivided into a dyadic tree: at depth n the
-support is partitioned into 2^n cells of equal squared weight, items being
-split into sub-cells at cell boundaries. Counting the cells that lie
-entirely inside one macro label estimates that label's weight with error
-bounded by the number of straddling cells over 2^n.
+A densitized view is laid out on a line of exact integer squared weights,
+items ordered macro label first and then by basis key, so each label holds
+one span [a, b) of the total weight T. The dyadic refinement at depth n cuts
+the line into 2^n cells of equal weight, cell i covering
+[i*T/2^n, (i+1)*T/2^n). Counting the cells that lie entirely inside one
+label's span estimates that label's weight, with error bounded by the number
+of straddling cells over 2^n.
 
-Squared weights are exact: each item's weight is an integer on a power-of-
-two scale with headroom bits, so halving a cell and cutting a boundary item
-are exact integer operations at every depth. Internally a partially split
-item is carried as an integer-weight interval of its own weight line, which
-is the closed form of repeated dyadic sub-cell splits.
+Both counts have a closed form, so no cell is ever built:
+
+    n_alpha    = max(0, floor(b*2^n/T) - ceil(a*2^n/T))
+    straddlers = #{floor(x*2^n/T) : x an interior label boundary,
+                                    x*2^n mod T != 0}
+
+Squared float weights have power-of-two denominators, so the line is exact
+in integers and every floor and ceiling above is an exact integer division.
+Each depth costs O(labels) time and no memory beyond the item list.
+`reference.bisection_refinement` keeps the materialized greedy bisection
+this replaces, as the oracle the closed form is checked against.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,148 +34,71 @@ from .wavefunctional import DensitizedView, EntryKey
 
 MAX_DEPTH = 24
 
-# Extra trailing zero bits on every item weight; each depth consumes at most
-# one, so cells halve exactly for any depth up to MAX_DEPTH.
-HEADROOM_BITS = 64
-
-
-class ZeroDensity(Exception):
-    """Raised when splitting an item that carries no weight."""
-
 
 class DepthExceeded(Exception):
     """Raised when a refinement deeper than MAX_DEPTH is requested."""
 
 
-@dataclass(frozen=True)
-class CellItem:
-    """One micro-cell: a basis key, its dyadic cell index, and an exact
-    squared weight."""
-
-    key: bytes
-    cell_index: tuple[int, ...]
-    sq_weight: Fraction
-
-    @classmethod
-    def from_density(cls, key: bytes, cell_index: tuple[int, ...], density) -> "CellItem":
-        sq = Fraction(density) ** 2
-        return cls(key, tuple(cell_index), sq)
-
-    @property
-    def density(self) -> float:
-        return math.sqrt(float(self.sq_weight))
-
-
-def split_cell(item: CellItem) -> tuple[CellItem, CellItem]:
-    """Split a micro-cell into its two dyadic children, each carrying half
-    the squared weight (density r/sqrt(2)); weight is conserved exactly."""
-    if item.sq_weight == 0:
-        raise ZeroDensity("cannot split a zero-weight cell")
-    half = item.sq_weight / 2
-    return (
-        CellItem(item.key, item.cell_index + (0,), half),
-        CellItem(item.key, item.cell_index + (1,), half),
-    )
-
-
-class TreeItem(NamedTuple):
-    key: EntryKey
-    lo: int  # interval start on the item's own weight line, in scale units
-    weight: int  # interval width, in scale units
-
-
 @dataclass
-class RefinementTree:
-    """Dyadic refinement of a densitized view: levels[n] holds 2^n cells,
-    each a list of items whose integer weights sum to total/2^n exactly."""
+class Refinement:
+    """A view's squared weights on an exact integer line: `items` holds the
+    positive-weight (key, weight) pairs in line order, weights in units of
+    1/scale. Counts are available at every depth in [0, depth]."""
 
     depth: int
     scale: int
-    levels: list[list[list[TreeItem]]]
+    items: list[tuple[EntryKey, int]]
     states: dict[EntryKey, SpaceState]
+    _spans: dict[str, list[tuple[str, int, int]]] = field(default_factory=dict, repr=False)
 
-    def cells(self, depth: int) -> list[list[TreeItem]]:
-        if not (0 <= depth <= self.depth):
-            raise ValueError(f"depth {depth} outside tree depth {self.depth}")
-        return self.levels[depth]
-
-    def cell_weight(self, depth: int, i: int) -> Fraction:
-        return Fraction(sum(item.weight for item in self.cells(depth)[i]), self.scale)
-
-    def total_weight(self, depth: int = 0) -> Fraction:
-        return Fraction(
-            sum(item.weight for cell in self.cells(depth) for item in cell), self.scale
-        )
-
-    def label_weight(self, partition: MacroPartition, alpha: str) -> Fraction:
-        labels = {k: partition.label_of(s) for k, s in self.states.items()}
-        return Fraction(
-            sum(item.weight for item in self.levels[0][0] if labels[item.key] == alpha),
-            self.scale,
-        )
-
-
-def _cut(items: list[TreeItem], total: int) -> tuple[list[TreeItem], list[TreeItem]]:
-    """Split a sorted item list into two halves of exactly total//2 and
-    total - total//2 weight, cutting at most one boundary item."""
-    half = total // 2
-    acc = 0
-    idx = 0
-    while idx < len(items) and acc + items[idx].weight <= half:
-        acc += items[idx].weight
-        idx += 1
-    left = list(items[:idx])
-    if acc == half or idx == len(items):
-        return left, list(items[idx:])
-    boundary = items[idx]
-    needed = half - acc
-    piece_l = TreeItem(boundary.key, boundary.lo, needed)
-    piece_r = TreeItem(boundary.key, boundary.lo + needed, boundary.weight - needed)
-    return left + [piece_l], [piece_r] + list(items[idx + 1 :])
+    def spans(self, partition: MacroPartition) -> list[tuple[str, int, int]]:
+        """Maximal runs of one label along the line, as (label, a, b)."""
+        spans = self._spans.get(partition.name)
+        if spans is None:
+            spans = []
+            lo = 0
+            for key, weight in self.items:
+                label = partition.label_of(self.states[key])
+                if spans and spans[-1][0] == label:
+                    spans[-1] = (label, spans[-1][1], lo + weight)
+                else:
+                    spans.append((label, lo, lo + weight))
+                lo += weight
+            self._spans[partition.name] = spans
+        return spans
 
 
 def build_refinement(
     view: DensitizedView, depth_max: int, partition: MacroPartition | None = None
-) -> RefinementTree:
-    """Greedy dyadic bisection of the view's support.
+) -> Refinement:
+    """Place the view's exact squared weights on the integer line.
 
     Items are ordered macro-label first (when a partition is given), then by
-    basis key, which keeps cells label-contiguous and the straddling-cell
-    count below the number of labels.
+    basis key, which keeps labels contiguous and the straddling-cell count
+    below the number of labels.
     """
     if depth_max < 0 or depth_max > MAX_DEPTH:
         raise DepthExceeded(f"depth_max must be in [0, {MAX_DEPTH}]")
     if len(view) == 0:
         raise ValueError("cannot refine an empty view")
 
-    sq_weights = {k: Fraction(view.entries[k][1]) ** 2 for k in view.sorted_keys()}
-
-    states = {k: view.entries[k][0] for k in view.sorted_keys()}
+    keys = view.sorted_keys()
+    sq_weights = {k: Fraction(view.entries[k][1]) ** 2 for k in keys}
+    states = {k: view.entries[k][0] for k in keys}
     if partition is not None:
         labels = {k: partition.label_of(s) for k, s in states.items()}
-        order = sorted(states, key=lambda k: (labels[k], k))
+        order = sorted(keys, key=lambda k: (labels[k], k))
     else:
-        order = sorted(states)
+        order = keys
 
     # Squared float weights have power-of-two denominators, so the largest
-    # one is a common denominator; headroom keeps every halving integral.
-    denom = max(sq.denominator for sq in sq_weights.values())
-    scale = denom << HEADROOM_BITS
-    root = [TreeItem(k, 0, int(sq_weights[k] * scale)) for k in order if sq_weights[k] > 0]
-    total_exact = Fraction(sum(item.weight for item in root), scale)
+    # one is a common denominator.
+    scale = max(sq.denominator for sq in sq_weights.values())
+    items = [(k, int(sq_weights[k] * scale)) for k in order if sq_weights[k] > 0]
+    total_exact = Fraction(sum(weight for _key, weight in items), scale)
     if abs(total_exact - 1) > Fraction(1, 10**12):
         raise ValueError(f"view is not normalized: total squared weight {float(total_exact)!r}")
-
-    levels = [[root]]
-    for _depth in range(depth_max):
-        next_level: list[list[TreeItem]] = []
-        for cell in levels[-1]:
-            cell_total = sum(item.weight for item in cell)
-            left, right = _cut(cell, cell_total)
-            next_level.append(left)
-            next_level.append(right)
-        levels.append(next_level)
-    return RefinementTree(depth_max, scale, levels, states)
+    return Refinement(depth_max, scale, items, states)
 
 
 @dataclass
@@ -191,38 +120,31 @@ class CountReport:
         return {lc.label: lc for lc in self.per_label}
 
 
-def count_estimate(tree: RefinementTree, partition: MacroPartition, depth: int) -> CountReport:
+def count_estimate(refinement: Refinement, partition: MacroPartition, depth: int) -> CountReport:
     """Per-label counting estimate n_alpha / 2^depth with its straddler
     error bound and the exact label weights."""
-    if not (0 <= depth <= tree.depth):
-        raise ValueError(f"depth {depth} outside tree depth {tree.depth}")
-    label_cache = tree.__dict__.setdefault("_label_cache", {})
-    labels = label_cache.get(partition.name)
-    if labels is None:
-        labels = {k: partition.label_of(s) for k, s in tree.states.items()}
-        label_cache[partition.name] = labels
-    counts: dict[str, int] = {}
-    exact_units: dict[str, int] = {}
-    for item in tree.levels[0][0]:
-        lab = labels[item.key]
-        exact_units[lab] = exact_units.get(lab, 0) + item.weight
-        counts.setdefault(lab, 0)
-    exact = {lab: Fraction(units, tree.scale) for lab, units in exact_units.items()}
-    straddlers = 0
+    if not (0 <= depth <= refinement.depth):
+        raise ValueError(f"depth {depth} outside refinement depth {refinement.depth}")
+    spans = refinement.spans(partition)
+    total = spans[-1][2]
     cells_total = 2**depth
-    for cell in tree.cells(depth):
-        present = {labels[item.key] for item in cell}
-        if len(present) == 1:
-            counts[present.pop()] += 1
-        elif len(present) > 1:
-            straddlers += 1
+    counts: dict[str, int] = {}
+    units: dict[str, int] = {}
+    for label, a, b in spans:
+        # floor(b*2^n/T) - ceil(a*2^n/T), written with floor divisions only.
+        inside = (b * cells_total) // total + (-a * cells_total) // total
+        counts[label] = counts.get(label, 0) + max(0, inside)
+        units[label] = units.get(label, 0) + b - a
+    straddlers = len(
+        {(a * cells_total) // total for _label, a, _b in spans[1:] if (a * cells_total) % total}
+    )
     bound = Fraction(straddlers, cells_total)
     per_label = [
         LabelCount(
             label=lab,
             n_alpha=counts[lab],
             estimate=Fraction(counts[lab], cells_total),
-            exact=exact.get(lab, Fraction(0)),
+            exact=Fraction(units[lab], refinement.scale),
             bound=bound,
         )
         for lab in sorted(counts)

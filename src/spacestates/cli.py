@@ -30,6 +30,7 @@ from .branching import branch_events_jsonl, irreversibility_scan, track
 from .corpus import random_space_state, random_wavefunctional
 from .dynamics import (
     Generator,
+    NumericalFailure,
     RuleFileError,
     SupportEscape,
     TruncationExceeded,
@@ -38,7 +39,7 @@ from .dynamics import (
     rul1_loads,
 )
 from .macrostates import MacroPartition, builtin_classifiers, partition_by_name, verify_projector_algebra
-from .reference import brute_force_assoc_kind
+from .reference import bisection_refinement, brute_force_assoc_kind
 from .spacegraph import classify_associability, ssg1_loads
 from .wavefunctional import (
     Wavefunctional,
@@ -55,10 +56,6 @@ NORM_DRIFT_LIMIT = 1e-8
 
 
 class ConfigError(Exception):
-    pass
-
-
-class NumericalFailure(Exception):
     pass
 
 
@@ -383,19 +380,32 @@ def verify(
             f"max amplitude error {worst:.3e}",
         )
 
-    # Refinement cell weights.
+    # Refinement: the bisection oracle's cells have equal exact weight, and
+    # the closed-form counts equal the oracle's cell-by-cell counts, both on
+    # random weights and on equal weights of 1/16, whose label boundaries
+    # fall exactly on cell edges.
     partition = config.partition()
     psi = random_wavefunctional(rng, n_entries=24)
-    tree = build_refinement(gauge_absorb(psi), 8, partition)
+    equal = Wavefunctional.from_states((state, 0.25) for state in list(psi.states())[:16])
+    views = (gauge_absorb(psi), gauge_absorb(equal))
+    depth_max = 8
     worst = 0.0
-    for depth in range(tree.depth + 1):
-        target = tree.total_weight() / 2**depth
-        for i in range(2**depth):
-            worst = max(worst, abs(float(tree.cell_weight(depth, i) - target)))
+    disagree = 0
+    for view in views:
+        oracle = bisection_refinement(view, depth_max, partition)
+        refinement = build_refinement(view, depth_max, partition)
+        for depth in range(depth_max + 1):
+            target = oracle.total_weight() / 2**depth
+            for i in range(2**depth):
+                worst = max(worst, abs(float(oracle.cell_weight(depth, i) - target)))
+            report = count_estimate(refinement, partition, depth)
+            closed = ({lc.label: lc.n_alpha for lc in report.per_label}, report.straddlers)
+            disagree += closed != oracle.count(partition, depth)
     record(
         "refinement-weights",
-        "PASS" if worst <= 1e-12 else "FAIL",
-        f"max cell deviation {worst:.3e}",
+        "PASS" if worst <= 1e-12 and not disagree else "FAIL",
+        f"max cell deviation {worst:.3e}, closed-form counts differ at {disagree} "
+        f"of {len(views) * (depth_max + 1)} depths",
     )
 
     # Associability classifier against the brute-force oracle.

@@ -40,6 +40,10 @@ class RuleFileError(Exception):
     """A rule file could not be parsed."""
 
 
+class NumericalFailure(Exception):
+    """Evolution produced a non-finite or non-unitary state."""
+
+
 def _is_connected(graph: SpaceGraph) -> bool:
     adj = graph.adjacency()
     start = graph.vertices[0]
@@ -299,6 +303,9 @@ def evolve(
                     raise SupportEscape(
                         f"boundary amplitude {leak:.3e} exceeds {BOUNDARY_LEAK_TOLERANCE}"
                     )
+        if not np.isfinite(v).all():
+            largest = float(np.abs(gen.matrix).max())
+            raise NumericalFailure(f"evolved amplitudes are not finite (largest |H| entry {largest:.3e})")
     return Wavefunctional.from_states(zip(gen.basis, v), epoch=psi.epoch + 1)
 
 

@@ -1,20 +1,25 @@
 """Slow brute-force reference implementations.
 
-These are deliberately independent of the canonical-labeling and subgraph
-search machinery: isomorphism is decided by backtracking over vertex
-bijections on the raw structure, and common subgraphs by enumerating
-connected induced vertex subsets. The verification suite and the test
-oracles compare the fast paths against these.
+These are deliberately independent of the canonical-labeling, subgraph
+search and counting machinery: isomorphism is decided by backtracking over
+vertex bijections on the raw structure, common subgraphs by enumerating
+connected induced vertex subsets, and refinement counts by materializing
+every dyadic cell. The verification suite and the test oracles compare the
+fast paths against these.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
+from .macrostates import MacroPartition
 from .spacegraph import AssocKind, SpaceState
+from .wavefunctional import DensitizedView, EntryKey
 
 
 def _labels(state: SpaceState) -> dict[int, tuple]:
@@ -141,3 +146,104 @@ def dense_inner_product(a, b) -> complex:
     va = np.array([a.entries.get(k, (None, 0j))[1] for k in keys], dtype=complex)
     vb = np.array([b.entries.get(k, (None, 0j))[1] for k in keys], dtype=complex)
     return complex(np.vdot(va, vb))
+
+
+# Extra trailing zero bits on every item weight; each bisection consumes at
+# most one, so cells halve exactly for any depth up to this many.
+HEADROOM_BITS = 64
+
+
+class CellPiece(NamedTuple):
+    key: EntryKey
+    lo: int  # interval start on the item's own weight line, in scale units
+    weight: int  # interval width, in scale units
+
+
+@dataclass
+class BisectionRefinement:
+    """Materialized dyadic refinement: levels[n] holds the 2^n cells at
+    depth n, each a list of pieces whose integer weights sum to exactly
+    total/2^n. Time and memory grow as 2^depth."""
+
+    depth: int
+    scale: int
+    levels: list[list[list[CellPiece]]]
+    states: dict[EntryKey, SpaceState]
+
+    def cells(self, depth: int) -> list[list[CellPiece]]:
+        if not (0 <= depth <= self.depth):
+            raise ValueError(f"depth {depth} outside tree depth {self.depth}")
+        return self.levels[depth]
+
+    def cell_weight(self, depth: int, i: int) -> Fraction:
+        return Fraction(sum(piece.weight for piece in self.cells(depth)[i]), self.scale)
+
+    def total_weight(self, depth: int = 0) -> Fraction:
+        return Fraction(
+            sum(piece.weight for cell in self.cells(depth) for piece in cell), self.scale
+        )
+
+    def count(self, partition: MacroPartition, depth: int) -> tuple[dict[str, int], int]:
+        """Cells holding a single label, per label, and the straddling
+        cells holding more than one, found by inspecting every cell."""
+        labels = {k: partition.label_of(s) for k, s in self.states.items()}
+        counts = {labels[piece.key]: 0 for piece in self.levels[0][0]}
+        straddlers = 0
+        for cell in self.cells(depth):
+            present = {labels[piece.key] for piece in cell}
+            if len(present) == 1:
+                counts[present.pop()] += 1
+            elif len(present) > 1:
+                straddlers += 1
+        return counts, straddlers
+
+
+def _cut(pieces: list[CellPiece], total: int) -> tuple[list[CellPiece], list[CellPiece]]:
+    """Split a sorted piece list into two halves of exactly total//2 and
+    total - total//2 weight, cutting at most one boundary piece."""
+    half = total // 2
+    acc = 0
+    idx = 0
+    while idx < len(pieces) and acc + pieces[idx].weight <= half:
+        acc += pieces[idx].weight
+        idx += 1
+    left = list(pieces[:idx])
+    if acc == half or idx == len(pieces):
+        return left, list(pieces[idx:])
+    boundary = pieces[idx]
+    needed = half - acc
+    piece_l = CellPiece(boundary.key, boundary.lo, needed)
+    piece_r = CellPiece(boundary.key, boundary.lo + needed, boundary.weight - needed)
+    return left + [piece_l], [piece_r] + list(pieces[idx + 1 :])
+
+
+def bisection_refinement(
+    view: DensitizedView, depth_max: int, partition: MacroPartition | None = None
+) -> BisectionRefinement:
+    """Greedy dyadic bisection of the view's support, every level built.
+
+    Items are ordered macro-label first (when a partition is given), then by
+    basis key, as `born.build_refinement` orders them.
+    """
+    if not (0 <= depth_max <= HEADROOM_BITS):
+        raise ValueError(f"depth_max must be in [0, {HEADROOM_BITS}]")
+    states = {k: view.entries[k][0] for k in view.sorted_keys()}
+    sq_weights = {k: Fraction(view.entries[k][1]) ** 2 for k in states}
+    if partition is not None:
+        labels = {k: partition.label_of(s) for k, s in states.items()}
+        order = sorted(states, key=lambda k: (labels[k], k))
+    else:
+        order = sorted(states)
+
+    denom = max(sq.denominator for sq in sq_weights.values())
+    scale = denom << HEADROOM_BITS
+    root = [CellPiece(k, 0, int(sq_weights[k] * scale)) for k in order if sq_weights[k] > 0]
+    levels = [[root]]
+    for _depth in range(depth_max):
+        next_level: list[list[CellPiece]] = []
+        for cell in levels[-1]:
+            left, right = _cut(cell, sum(piece.weight for piece in cell))
+            next_level.append(left)
+            next_level.append(right)
+        levels.append(next_level)
+    return BisectionRefinement(depth_max, scale, levels, states)

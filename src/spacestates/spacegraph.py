@@ -616,13 +616,16 @@ def ssg1_loads(text: str) -> SpaceState:
     edges: list[tuple[int, int, Fraction]] = []
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "v" and len(parts) == 5:
-            fields[int(parts[1])] = VertexField(
-                int(parts[2]), Fraction(parts[3]), Phase.from_turns(Fraction(parts[4]))
-            )
-        elif parts[0] == "e" and len(parts) == 4:
-            edges.append((int(parts[1]), int(parts[2]), Fraction(parts[3])))
-        else:
-            raise ValueError(f"bad SSG1 record: {ln!r}")
+        try:
+            if parts[0] == "v" and len(parts) == 5:
+                fields[int(parts[1])] = VertexField(
+                    int(parts[2]), Fraction(parts[3]), Phase.from_turns(Fraction(parts[4]))
+                )
+            elif parts[0] == "e" and len(parts) == 4:
+                edges.append((int(parts[1]), int(parts[2]), Fraction(parts[3])))
+            else:
+                raise ValueError(f"bad SSG1 record: {ln!r}")
+        except ZeroDivisionError:
+            raise ValueError(f"bad SSG1 record: {ln!r} (zero denominator)") from None
     graph = SpaceGraph.build(fields.keys(), edges)
     return SpaceState(graph, FieldConfig.build(fields))

@@ -5,19 +5,17 @@ import pytest
 from scipy import stats
 
 from spacestates import (
-    CellItem,
     DepthExceeded,
     Wavefunctional,
-    ZeroDensity,
     build_refinement,
     count_estimate,
     gauge_absorb,
     normalize,
     sample_selflocation,
-    split_cell,
     vertex_count_partition,
 )
 from spacestates.corpus import random_wavefunctional
+from spacestates.reference import bisection_refinement
 
 from conftest import uniform_path
 
@@ -30,39 +28,11 @@ def cell_variants(state, n_bits, count):
     return [state.with_cell_index(tuple(int(b) for b in format(i, f"0{n_bits}b"))) for i in range(count)]
 
 
-class TestSplitCell:
-    def test_unit_item_splits_into_equal_halves(self):
-        item = CellItem.from_density(b"k", (), 1)
-        c0, c1 = split_cell(item)
-        assert c0.cell_index == (0,) and c1.cell_index == (1,)
-        assert c0.sq_weight == c1.sq_weight == Fraction(1, 2)
-        assert math.isclose(c0.density, 1 / math.sqrt(2), abs_tol=1e-15)
-
-    def test_double_split_gives_four_grandchildren_of_half_density(self):
-        item = CellItem.from_density(b"k", (), 1)
-        grand = [g for c in split_cell(item) for g in split_cell(c)]
-        assert len(grand) == 4
-        assert all(g.sq_weight == Fraction(1, 4) for g in grand)
-        assert all(g.density == 0.5 for g in grand)
-        assert {g.cell_index for g in grand} == {(0, 0), (0, 1), (1, 0), (1, 1)}
-
-    def test_weight_conserved_exactly_for_random_densities(self, rng):
-        for _ in range(50):
-            r = rng.uniform(0.01, 2.0)
-            item = CellItem.from_density(b"k", (1,), r)
-            c0, c1 = split_cell(item)
-            assert c0.sq_weight + c1.sq_weight == Fraction(r) ** 2
-
-    def test_zero_density_rejected(self):
-        with pytest.raises(ZeroDensity):
-            split_cell(CellItem.from_density(b"k", (), 0))
-
-
 class TestBuildRefinement:
     def test_uniform_two_items_split_one_each(self):
         a, b = uniform_path(2), uniform_path(3)
         view = view_of([(a, 1.0), (b, 1.0)])
-        tree = build_refinement(view, 1, vertex_count_partition(1))
+        tree = bisection_refinement(view, 1, vertex_count_partition(1))
         cells = tree.cells(1)
         assert [len(c) for c in cells] == [1, 1]
 
@@ -74,7 +44,7 @@ class TestBuildRefinement:
         view = view_of(
             [(a.with_cell_index((0,)), 0.5), (a.with_cell_index((1,)), 0.5), (b, 0.5), (c, 0.5)]
         )
-        tree = build_refinement(view, 1, vertex_count_partition(1))
+        tree = bisection_refinement(view, 1, vertex_count_partition(1))
         cells = tree.cells(1)
         keys0 = {item.key[0] for item in cells[0]}
         keys1 = {item.key[0] for item in cells[1]}
@@ -90,7 +60,7 @@ class TestBuildRefinement:
             for v in cell_variants(s, 4, 10):
                 pairs.append((v, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
         assert len(pairs) == 50
-        tree = build_refinement(view_of(pairs), 10, part)
+        tree = bisection_refinement(view_of(pairs), 10, part)
         total = tree.total_weight()
         for depth in (1, 4, 7, 10):
             target = total / 2**depth
@@ -100,7 +70,7 @@ class TestBuildRefinement:
     def test_deeper_levels_refine_parents(self, rng):
         part = vertex_count_partition(1)
         psi = random_wavefunctional(rng, n_entries=12)
-        tree = build_refinement(gauge_absorb(psi), 5, part)
+        tree = bisection_refinement(gauge_absorb(psi), 5, part)
         for depth in range(5):
             for i, parent in enumerate(tree.cells(depth)):
                 left, right = tree.cells(depth + 1)[2 * i], tree.cells(depth + 1)[2 * i + 1]
@@ -116,6 +86,53 @@ class TestBuildRefinement:
         psi = Wavefunctional.from_states([(uniform_path(2), 0.5)])
         with pytest.raises(ValueError, match="normalized"):
             build_refinement(gauge_absorb(psi), 2)
+
+    def test_empty_view_rejected(self):
+        empty = gauge_absorb(Wavefunctional.from_states([]))
+        with pytest.raises(ValueError, match="empty"):
+            build_refinement(empty, 2)
+
+
+def assert_agrees_with_bisection(view, part, depth_max, order_by=True):
+    """Closed-form counts equal the bisection oracle's at every depth; with
+    order_by False both lay the line out by basis key alone."""
+    order = part if order_by else None
+    closed = build_refinement(view, depth_max, order)
+    oracle = bisection_refinement(view, depth_max, order)
+    for depth in range(depth_max + 1):
+        report = count_estimate(closed, part, depth)
+        counts = {lc.label: lc.n_alpha for lc in report.per_label}
+        assert (counts, report.straddlers) == oracle.count(part, depth), depth
+
+
+class TestClosedFormAgainstBisection:
+    """The closed-form counts equal the materialized bisection's counts."""
+
+    def test_label_heavy_random_views_agree_up_to_depth_twelve(self, rng):
+        part = vertex_count_partition(1)
+        for _ in range(8):
+            pairs = []
+            for n in range(2, 2 + rng.randint(5, 9)):
+                for v in cell_variants(uniform_path(n), 3, rng.randint(1, 8)):
+                    pairs.append((v, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
+            assert_agrees_with_bisection(view_of(pairs), part, 12)
+
+    def test_two_label_boundaries_in_one_cell_count_one_straddler(self):
+        # Squared weights 0.3 / 0.02 / 0.68: both interior boundaries lie in
+        # cell [1/4, 1/2) at depth 2, which straddles once, not twice.
+        part = vertex_count_partition(1)
+        a, b, c = uniform_path(2), uniform_path(3), uniform_path(4)
+        view = view_of([(a, math.sqrt(0.3)), (b, math.sqrt(0.02)), (c, math.sqrt(0.68))])
+        report = count_estimate(build_refinement(view, 2, part), part, 2)
+        assert report.straddlers == 1
+        assert [lc.n_alpha for lc in report.per_label] == [1, 0, 2]
+        assert_agrees_with_bisection(view, part, 12)
+
+    def test_unordered_partition_agrees(self, rng):
+        # Built without a partition, labels interleave along the line; the
+        # closed form counts every maximal run of one label.
+        view = gauge_absorb(random_wavefunctional(rng, n_entries=16))
+        assert_agrees_with_bisection(view, vertex_count_partition(1), 10, order_by=False)
 
 
 class TestCountEstimate:

@@ -28,6 +28,17 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
+def reference_config(tmp_path, **overrides):
+    cfg = json.loads((CONFIG_DIR / "reference_branching.json").read_text())
+    cfg["rules_file"] = str(CONFIG_DIR / "reference_branching.rul")
+    cfg["initial_state_file"] = str(CONFIG_DIR / "reference_branching.ssg")
+    cfg["out_dir"] = str(tmp_path / "out")
+    cfg.update(overrides)
+    path = tmp_path / "reference.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 def hashes(out_dir):
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path(out_dir).iterdir())
@@ -117,13 +128,7 @@ class TestRun:
         assert len(final) >= 1
 
     def test_truncation_refused_exits_3(self, tmp_path):
-        cfg = json.loads((CONFIG_DIR / "reference_branching.json").read_text())
-        cfg["rules_file"] = str(CONFIG_DIR / "reference_branching.rul")
-        cfg["initial_state_file"] = str(CONFIG_DIR / "reference_branching.ssg")
-        cfg["out_dir"] = str(tmp_path / "out")
-        cfg["accept_truncation"] = False
-        path = tmp_path / "trunc.json"
-        path.write_text(json.dumps(cfg))
+        path = reference_config(tmp_path, accept_truncation=False)
         assert invoke("run", str(path)) == 3
 
     def test_corrupt_rule_file_exits_2(self, tmp_path):
@@ -135,6 +140,49 @@ class TestRun:
     def test_missing_rule_file_exits_2(self, tmp_path):
         path = write_config(tmp_path, rules_file=str(tmp_path / "nope.rul"))
         assert invoke("run", str(path)) == 2
+
+    def test_zero_denominator_in_initial_state_exits_1(self, tmp_path, capsys):
+        bad_state = tmp_path / "bad.ssg"
+        bad_state.write_text("SSG1\nv 0 1 1/0 0\n")
+        path = write_config(tmp_path, initial_state_file=str(bad_state))
+        assert invoke("run", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "bad SSG1 record" in err
+
+    def test_zero_denominator_in_rule_pattern_exits_2(self, tmp_path, capsys):
+        rules = (CONFIG_DIR / "two_state_rabi.rul").read_text()
+        bad_rules = tmp_path / "bad.rul"
+        bad_rules.write_text(rules.replace("v 0 1 1 0", "v 0 1 1/0 0", 1))
+        path = write_config(tmp_path, rules_file=str(bad_rules))
+        assert invoke("run", str(path)) == 2
+        assert "bad SSG1 record" in capsys.readouterr().err
+
+    def test_overflowing_coupling_exits_4(self, tmp_path, capsys):
+        rules = (CONFIG_DIR / "two_state_rabi.rul").read_text()
+        huge_rules = tmp_path / "huge.rul"
+        huge_rules.write_text(rules.replace("rule 0 0.5", "rule 0 1e308"))
+        path = write_config(tmp_path, rules_file=str(huge_rules))
+        assert invoke("run", str(path)) == 4
+        assert "not finite" in capsys.readouterr().err
+
+    def test_largest_accepted_depth_completes(self, tmp_path):
+        path = reference_config(tmp_path, depth_max=24)
+        assert invoke("run", str(path)) == 0
+        rows = (tmp_path / "out" / "count_report.csv").read_text().splitlines()[1:]
+        by_depth: dict[int, list[list[str]]] = {}
+        for row in rows:
+            fields = row.split(",")
+            by_depth.setdefault(int(fields[0]), []).append(fields)
+        assert sorted(by_depth) == list(range(25))
+        for depth, fields in by_depth.items():
+            straddlers = int(fields[0][3])
+            assert sum(int(f[2]) for f in fields) + straddlers == 2**depth
+            for f in fields:
+                # estimate and bound are dyadic, so exact in binary; only the
+                # label weight is rounded once to the nearest double.
+                estimate, exact, bound = float(f[4]), float(f[5]), float(f[6])
+                assert abs(estimate - exact) <= bound + 2**-53
+
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
@@ -179,3 +227,36 @@ class TestVerify:
         )
         assert proc.returncode == 0
         assert "artifacts" in proc.stdout
+
+
+# SHA-256 of every artifact of `spacestates run` on the shipped configs,
+# recorded before the refinement count moved to its closed form. A change
+# that alters one on purpose updates it here and says why.
+PINNED_DIGESTS = {
+    "two_state_rabi": {
+        "branch_summary.csv": "f74478ffc86307911d1f1fb92bca52bbfca81344538a21d55908ab9e4339b822",
+        "branches.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "count_report.csv": "cb214e14318998079e1174f15baafe42b25314602213b78e2366a49305704b12",
+        "final_state.wfn": "8090d49449d5d9af8ea6ff9d57e2cd1e3d8ec5f3802d8ce7af22f5cf21a725c8",
+        "initial_state.wfn": "2bd50b17f73ce525d3c7cd4ff57b4557608cfbef58d9f42a799d8fa6a58e9849",
+        "manifest.json": "4c7c3cc8942d4382eb9f0c683c219c069738cb6593867d5a9dff12b6d0aaebdd",
+        "sampler.csv": "742275a9f6bb0c46ad962a87ee34117db710f4a4cb290853efc083bfc793ba5d",
+        "weights.csv": "dfd5f39f1d41d3c01a823b153a69e71299111186f27c79e15c27a4d5a7bda752",
+    },
+    "reference_branching": {
+        "branch_summary.csv": "a98992420398455312b69aa11ac929fb3b1d9be7f80730ecd3d68b6f15919a91",
+        "branches.jsonl": "0f06d59e4ab376150176e8ee8dbe221ede4f005e48265143da48000a84bf6b14",
+        "count_report.csv": "826b64b8815f4c3f1ae430da8d8246b039bc419628c57e1012c29566604ac264",
+        "final_state.wfn": "1ed34f44c182e309709ead23595dbe1179aa462ab0ae4b6338e906930b382e77",
+        "initial_state.wfn": "96b6fedf517c91fe9017228e4e9618456a2c6a1f5bf68f6945de45a48997d539",
+        "manifest.json": "6ca84be98cfbaecfb40094bad3cd5e69aaa8bad4eb70069eeaeb7e532e4d0e04",
+        "sampler.csv": "3fbf658d51b589ebd1dc1f69d562d1f495264b116f9dc3c4d5a85d9decb2de34",
+        "weights.csv": "aaf8f779284ed9cccc9f38c040e724791eb718f0e565f67bc29b777dffe69832",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_shipped_config_artifacts_match_pinned_digests(tmp_path, name):
+    assert invoke("run", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path / name)) == 0
+    assert hashes(tmp_path / name) == PINNED_DIGESTS[name]

@@ -1,14 +1,14 @@
 """Property tests for the numeric invariants that hold for any amplitudes."""
 
 import cmath
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spacestates import (
-    CellItem,
     Wavefunctional,
+    build_refinement,
+    count_estimate,
     gauge_absorb,
     inner_product,
     macro_weights,
@@ -16,9 +16,9 @@ from spacestates import (
     normalize,
     project,
     reconstruct,
-    split_cell,
     vertex_count_partition,
 )
+from spacestates.reference import bisection_refinement
 
 from conftest import uniform_path
 
@@ -82,12 +82,12 @@ def test_projections_resolve_the_identity(amps):
         assert abs(norm(project(psi, part, label)) ** 2 - weight) <= 1e-12
 
 
-@given(st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1000)))
-@settings(max_examples=80, deadline=None)
-def test_split_cell_conserves_squared_weight_exactly(sq_weight):
-    item = CellItem(b"key", (1, 0), sq_weight)
-    left, right = split_cell(item)
-    assert left.sq_weight + right.sq_weight == sq_weight
-    assert left.sq_weight == right.sq_weight
-    assert left.cell_index == (1, 0, 0)
-    assert right.cell_index == (1, 0, 1)
+@given(amplitudes, st.integers(min_value=0, max_value=8))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_counts_match_bisection_oracle(amps, depth):
+    part = vertex_count_partition(1)
+    view = gauge_absorb(normalize(state_of(amps)))
+    report = count_estimate(build_refinement(view, depth, part), part, depth)
+    counts = {lc.label: lc.n_alpha for lc in report.per_label}
+    assert (counts, report.straddlers) == bisection_refinement(view, depth, part).count(part, depth)
+    assert sum(counts.values()) + report.straddlers == 2**depth
