@@ -158,8 +158,8 @@ def sample_selflocation(
     """Draw seeded i.i.d. micro-states with probability proportional to the
     squared density and report empirical macro-label frequencies.
 
-    Uses a counter-based generator, so results are reproducible and
-    independent of thread count.
+    Uses a counter-based generator, so results are reproducible for a
+    fixed seed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

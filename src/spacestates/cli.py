@@ -18,7 +18,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -223,7 +222,7 @@ def _load_inputs(config: ExperimentConfig):
     return initial, rules
 
 
-def run(config: ExperimentConfig, threads: int = 1) -> dict[str, str]:
+def run(config: ExperimentConfig) -> dict[str, str]:
     """Execute the pipeline and write all artifacts; returns {filename: sha256}."""
     partition = config.partition()
     initial, rules = _load_inputs(config)
@@ -299,15 +298,8 @@ def run(config: ExperimentConfig, threads: int = 1) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def verify(
-    config: ExperimentConfig, threads: int = 1, inject_faults: frozenset[str] = frozenset()
+    config: ExperimentConfig, inject_faults: frozenset[str] = frozenset()
 ) -> tuple[list[str], bool]:
     """Run the invariant suite; returns (report lines, all_passed)."""
     lines: list[str] = []
@@ -344,7 +336,7 @@ def verify(
     nrng = np.random.Generator(np.random.Philox(config.seed))
     a = nrng.normal(size=(64, 64)) + 1j * nrng.normal(size=(64, 64))
     h = a + a.conj().T
-    gen = Generator(tuple(states), h, frozenset(), False)
+    gen = Generator(tuple(states), h, frozenset())
     amps = nrng.normal(size=64) + 1j * nrng.normal(size=64)
     psi = normalize(Wavefunctional.from_states(zip(states, amps)))
     evolved = evolve(psi, gen, dt=0.02, steps=100)
@@ -414,14 +406,11 @@ def verify(
     else:
         pairs = min(len(corpus) // 2, 40)
         sample = [(corpus[2 * i], corpus[2 * i + 1]) for i in range(pairs)]
-
-        def agree(pair):
-            a, b = pair
-            fast = classify_associability(a, b, config.k_min).kind
-            slow = brute_force_assoc_kind(a, b, config.k_min)
-            return fast is slow
-
-        results = _pmap(agree, sample, threads)
+        results = [
+            classify_associability(a, b, config.k_min).kind
+            is brute_force_assoc_kind(a, b, config.k_min)
+            for a, b in sample
+        ]
         bad = results.count(False)
         record(
             "oracle-equivalence",
@@ -446,26 +435,17 @@ def _env_overrides() -> dict:
     return overrides
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(ENV_PREFIX + "THREADS")
-    return int(env) if env else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="spacestates",
         description="Branching-wavefunctional experiments on labeled-graph geometries. "
-        f"Environment overrides: {ENV_PREFIX}SEED, {ENV_PREFIX}OUT, {ENV_PREFIX}THREADS "
-        "(command-line flags win).",
+        f"Environment overrides: {ENV_PREFIX}SEED, {ENV_PREFIX}OUT (command-line flags win).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "verify"):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to the JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
         p.add_argument("--out", default=None, help="override the output directory")
         if name == "verify":
             p.add_argument(
@@ -490,12 +470,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "run":
-            artifacts = run(config, threads=_threads(args))
+            artifacts = run(config)
             print(f"wrote {len(artifacts) + 1} artifacts to {config.out_dir}")
             return 0
-        lines, ok = verify(
-            config, threads=_threads(args), inject_faults=frozenset(args.inject_fault)
-        )
+        lines, ok = verify(config, inject_faults=frozenset(args.inject_fault))
         for line in lines:
             print(line)
         return 0 if ok else 5

@@ -4,8 +4,11 @@ A rewrite rule couples two space-states when its pattern fragment matches a
 site (an injective induced subgraph match with exact field and edge-length
 labels) and the replacement updates that site. Each application contributes
 a symmetric coupling between the source and result states, so the assembled
-generator is Hermitian by construction. Evolution applies the exact matrix
-exponential on a breadth-first truncated basis.
+generator is Hermitian by construction. The basis is a breadth-first
+closure of the seed support in which each state is expanded once: its rule
+applications both discover new states and, once the basis is fixed, supply
+the generator's couplings. Evolution applies the exact matrix exponential on
+that truncated basis.
 """
 
 from __future__ import annotations
@@ -177,12 +180,13 @@ def apply_rule(rule: RewriteRule, state: SpaceState, match: tuple[int, ...]) -> 
     return SpaceState(new_graph, new_fields, state.cell_index)
 
 
-def rule_applications(rule: RewriteRule, state: SpaceState) -> list[tuple[tuple[int, ...], SpaceState]]:
+def rule_applications(rule: RewriteRule, state: SpaceState) -> list[SpaceState]:
+    """Results of every non-dangling application, in sorted match order."""
     out = []
     for match in find_matches(rule, state):
         result = apply_rule(rule, state, match)
         if result is not None:
-            out.append((match, result))
+            out.append(result)
     return out
 
 
@@ -193,7 +197,6 @@ class Generator:
     basis: tuple[SpaceState, ...]
     matrix: np.ndarray
     boundary: frozenset[int]
-    truncated: bool
 
     def index(self) -> dict[EntryKey, int]:
         cached = self.__dict__.get("_index")
@@ -224,7 +227,9 @@ def expand_reachable(
 ) -> Generator:
     """Breadth-first closure of the seed support under single rule
     applications, truncated at max_dim states. Each BFS level enters the
-    basis in canonical-key order, so the basis is deterministic."""
+    basis in canonical-key order, so the basis is deterministic. Every basis
+    state is expanded once; the generator is assembled from the recorded
+    applications after the basis is fixed."""
     if len(seed) == 0:
         raise ValueError("seed wavefunctional is empty")
     if max_dim < len(seed):
@@ -233,46 +238,40 @@ def expand_reachable(
     ordered_rules = sorted(rules, key=lambda r: r.rule_id)
     basis: list[SpaceState] = [seed.entries[k][0] for k in seed.sorted_keys()]
     index = {entry_key(s): i for i, s in enumerate(basis)}
+    applications: list[tuple[int, EntryKey, float]] = []
 
-    frontier = list(basis)
-    while frontier:
+    # A full basis stops admitting states, but its last level is still
+    # expanded so that its couplings and boundary are recorded.
+    expanded = 0
+    while expanded < len(basis):
         discovered: dict[EntryKey, SpaceState] = {}
-        for state in frontier:
+        for src in range(expanded, len(basis)):
             for rule in ordered_rules:
-                for _match, result in rule_applications(rule, state):
+                for result in rule_applications(rule, basis[src]):
                     key = entry_key(result)
+                    applications.append((src, key, rule.coupling))
                     if key not in index:
                         discovered.setdefault(key, result)
-        fresh = [discovered[k] for k in sorted(discovered)]
+        expanded = len(basis)
         room = max_dim - len(basis)
-        if len(fresh) > room and not accept_truncation:
+        if len(discovered) > room and not accept_truncation:
             raise TruncationExceeded(f"closure exceeds max_dim={max_dim}")
-        admitted = fresh[:room]
-        for s in admitted:
-            index[entry_key(s)] = len(basis)
-            basis.append(s)
-        frontier = admitted
-        if len(fresh) > room:
-            break
+        for key in sorted(discovered)[:room]:
+            index[key] = len(basis)
+            basis.append(discovered[key])
 
-    # With the basis fixed, assemble the generator: each application at each
-    # site adds one Hermitian term g(|result><source| + |source><result|).
+    # Each application at each site adds one Hermitian term
+    # g(|result><source| + |source><result|).
     matrix = np.zeros((len(basis), len(basis)), dtype=complex)
     boundary: set[int] = set()
-    truncated = False
-    for src, state in enumerate(basis):
-        for rule in ordered_rules:
-            for _match, result in rule_applications(rule, state):
-                dst = index.get(entry_key(result))
-                if dst is None:
-                    truncated = True
-                    boundary.add(src)
-                    continue
-                matrix[src, dst] += rule.coupling
-                matrix[dst, src] += rule.coupling
-    if truncated and not accept_truncation:
-        raise TruncationExceeded(f"closure exceeds max_dim={max_dim}")
-    return Generator(tuple(basis), matrix, frozenset(boundary), truncated)
+    for src, key, coupling in applications:
+        dst = index.get(key)
+        if dst is None:
+            boundary.add(src)
+            continue
+        matrix[src, dst] += coupling
+        matrix[dst, src] += coupling
+    return Generator(tuple(basis), matrix, frozenset(boundary))
 
 
 def evolve(
@@ -297,7 +296,7 @@ def evolve(
         boundary = sorted(gen.boundary)
         for _ in range(steps):
             v = u @ v
-            if gen.truncated and not allow_boundary_leak and boundary:
+            if boundary and not allow_boundary_leak:
                 leak = float(np.max(np.abs(v[boundary])))
                 if leak > BOUNDARY_LEAK_TOLERANCE:
                     raise SupportEscape(

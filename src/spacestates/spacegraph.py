@@ -57,19 +57,14 @@ class Phase:
     def from_radians(cls, radians: float) -> "Phase":
         # Fraction(float) is exact, so the resulting turn count is an exact
         # dyadic rational and shift/unshift round-trips are bit-exact.
-        return cls(Fraction(radians / TWO_PI) % 1)
+        return cls(Fraction(radians / TWO_PI))
 
     @property
     def radians(self) -> float:
         return float(self.turns) * TWO_PI
 
     def shifted(self, delta_turns: Fraction) -> "Phase":
-        total = self.turns + delta_turns
-        if total >= 1:
-            total -= 1
-        elif total < 0:
-            total += 1
-        return Phase(total if 0 <= total < 1 else total % 1)
+        return Phase(self.turns + delta_turns)
 
 
 Edge = tuple[int, int, Fraction]

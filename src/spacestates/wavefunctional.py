@@ -78,7 +78,7 @@ class Wavefunctional:
 
 def inner_product(a: Wavefunctional, b: Wavefunctional) -> complex:
     """Hermitian scalar product; summation runs in sorted key order so the
-    result is independent of construction and thread count."""
+    result is independent of construction order."""
     total = 0j
     for key in sorted(set(a.entries) & set(b.entries)):
         total += a.entries[key][1].conjugate() * b.entries[key][1]

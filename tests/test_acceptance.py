@@ -144,7 +144,7 @@ def test_criterion_04_unitarity():
             states.append(s)
     nrng = np.random.Generator(np.random.Philox(64))
     a = nrng.normal(size=(64, 64)) + 1j * nrng.normal(size=(64, 64))
-    gen = Generator(tuple(states), a + a.conj().T, frozenset(), False)
+    gen = Generator(tuple(states), a + a.conj().T, frozenset())
     psi = normalize(
         Wavefunctional.from_states(zip(states, nrng.normal(size=64) + 1j * nrng.normal(size=64)))
     )
@@ -286,12 +286,12 @@ def test_criterion_09_branching_structure():
 def test_criterion_10_determinism(tmp_path):
     for name in ("two_state_rabi", "reference_branching"):
         digests = []
-        for threads, label in ((1, "t1"), (4, "t4")):
+        for label in ("a", "b"):
             out = tmp_path / f"{name}-{label}"
             config = ExperimentConfig.from_file(
                 str(CONFIG_DIR / f"{name}.json"), {"out_dir": str(out)}
             )
-            run(config, threads=threads)
+            run(config)
             digests.append(
                 {
                     p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -299,4 +299,4 @@ def test_criterion_10_determinism(tmp_path):
                 }
             )
         assert digests[0] == digests[1], name
-    report("criterion-10 determinism", "2 configs x 2 thread counts byte-identical")
+    report("criterion-10 determinism", "2 configs x 2 runs byte-identical")

@@ -95,10 +95,10 @@ class TestRun:
             expect = math.cos(g * t) ** 2 if label == "matter_2" else math.sin(g * t) ** 2
             assert abs(float(weight) - expect) <= 1e-12
 
-    def test_artifacts_byte_identical_across_runs_and_threads(self, tmp_path):
+    def test_artifacts_byte_identical_across_runs(self, tmp_path):
         path = write_config(tmp_path)
-        assert invoke("run", str(path), "--out", str(tmp_path / "a"), "--threads", "1") == 0
-        assert invoke("run", str(path), "--out", str(tmp_path / "b"), "--threads", "4") == 0
+        assert invoke("run", str(path), "--out", str(tmp_path / "a")) == 0
+        assert invoke("run", str(path), "--out", str(tmp_path / "b")) == 0
         assert hashes(tmp_path / "a") == hashes(tmp_path / "b")
 
     def test_seed_override_changes_sampler_only(self, tmp_path):

@@ -26,6 +26,7 @@ from spacestates import (
     rul1_dumps,
     rul1_loads,
 )
+from spacestates import dynamics
 from spacestates.corpus import random_space_state
 
 from conftest import path_state, uniform_path
@@ -144,6 +145,37 @@ def naive_closure(seed_states, rules, cap=200):
     return basis, matrix
 
 
+THREE_RULE_MAX_DIMS = (*range(1, 10), 64)
+
+
+def three_rule_system():
+    seed = SpaceState.build(
+        {0: (1, 1, 0), 1: (1, 1, 0), 2: (2, 1, 0), 3: (2, 2, 0)},
+        [(0, 1, 1), (1, 2, 1), (2, 3, 2)],
+    )
+    flip = RewriteRule(
+        0,
+        SpaceState.build({0: (2, 2, 0)}),
+        SpaceState.build({0: (2, 3, 0)}),
+        0.4,
+    )
+    swap = RewriteRule(
+        1,
+        SpaceState.build({0: (1, 1, 0), 1: (2, 1, 0)}, [(0, 1, 1)]),
+        SpaceState.build({0: (2, 1, 0), 1: (1, 1, 0)}, [(0, 1, 1)]),
+        0.7,
+    )
+    # The grown vertex changes matter so the rule cannot refire on its own
+    # result, keeping the closure finite for the oracle.
+    grow = RewriteRule(
+        2,
+        SpaceState.build({0: (2, 3, 0)}),
+        SpaceState.build({0: (2, 4, 0), 1: (3, 1, 0)}, [(0, 1, 3)]),
+        -0.2,
+    )
+    return seed, [flip, swap, grow]
+
+
 class TestExpandReachable:
     def test_empty_rule_set_gives_zero_matrix(self):
         psi = Wavefunctional.from_states([(uniform_path(2), 0.6), (uniform_path(3), 0.8)])
@@ -160,41 +192,46 @@ class TestExpandReachable:
         assert not gen.matrix.imag.any()
 
     def test_matches_naive_enumerator_on_three_rule_system(self):
-        seed = SpaceState.build(
-            {0: (1, 1, 0), 1: (1, 1, 0), 2: (2, 1, 0), 3: (2, 2, 0)},
-            [(0, 1, 1), (1, 2, 1), (2, 3, 2)],
-        )
-        flip = RewriteRule(
-            0,
-            SpaceState.build({0: (2, 2, 0)}),
-            SpaceState.build({0: (2, 3, 0)}),
-            0.4,
-        )
-        swap = RewriteRule(
-            1,
-            SpaceState.build({0: (1, 1, 0), 1: (2, 1, 0)}, [(0, 1, 1)]),
-            SpaceState.build({0: (2, 1, 0), 1: (1, 1, 0)}, [(0, 1, 1)]),
-            0.7,
-        )
-        # The grown vertex changes matter so the rule cannot refire on its
-        # own result, keeping the closure finite for the oracle.
-        grow = RewriteRule(
-            2,
-            SpaceState.build({0: (2, 3, 0)}),
-            SpaceState.build({0: (2, 4, 0), 1: (3, 1, 0)}, [(0, 1, 3)]),
-            -0.2,
-        )
-        rules = [flip, swap, grow]
-        psi = Wavefunctional.from_states([(seed, 1.0)])
-        gen = expand_reachable(psi, rules, max_dim=64)
+        # The full closure has 9 states; smaller max_dim values truncate it
+        # at every possible size, and the generator must equal the oracle's
+        # matrix restricted to the truncated basis.
+        seed, rules = three_rule_system()
         oracle_basis, oracle_matrix = naive_closure([seed], rules)
-        assert sorted(s.canonical_key for s in gen.basis) == sorted(
-            s.canonical_key for s in oracle_basis
-        )
-        remap = {s: i for i, s in enumerate(gen.basis)}
-        perm = [remap[s] for s in oracle_basis]
-        reordered = gen.matrix[np.ix_(perm, perm)]
-        assert np.allclose(reordered, oracle_matrix, atol=0)
+        assert len(oracle_basis) == 9
+        oracle_index = {s: i for i, s in enumerate(oracle_basis)}
+        for max_dim in THREE_RULE_MAX_DIMS:
+            psi = Wavefunctional.from_states([(seed, 1.0)])
+            gen = expand_reachable(psi, rules, max_dim=max_dim, accept_truncation=max_dim < 9)
+            assert gen.dim == min(max_dim, 9)
+            perm = [oracle_index[s] for s in gen.basis]
+            restricted = oracle_matrix[np.ix_(perm, perm)]
+            assert np.array_equal(gen.matrix, restricted), max_dim
+            inside = set(gen.basis)
+            leaking = {
+                i
+                for i, state in enumerate(gen.basis)
+                for rule in rules
+                for match in naive_matches(rule, state)
+                if (result := naive_apply(rule, state, match)) is not None
+                and result not in inside
+            }
+            assert gen.boundary == leaking, max_dim
+
+    @pytest.mark.parametrize("max_dim", THREE_RULE_MAX_DIMS)
+    def test_each_basis_state_expanded_once_per_rule(self, monkeypatch, max_dim):
+        seed, rules = three_rule_system()
+        calls = 0
+        original = dynamics.rule_applications
+
+        def counting(rule, state):
+            nonlocal calls
+            calls += 1
+            return original(rule, state)
+
+        monkeypatch.setattr(dynamics, "rule_applications", counting)
+        psi = Wavefunctional.from_states([(seed, 1.0)])
+        gen = expand_reachable(psi, rules, max_dim=max_dim, accept_truncation=True)
+        assert calls == gen.dim * len(rules)
 
     def test_truncation_refused_raises(self):
         psi = Wavefunctional.from_states([(uniform_path(2), 1.0)])
@@ -204,7 +241,6 @@ class TestExpandReachable:
     def test_truncation_accepted_marks_boundary(self):
         psi = Wavefunctional.from_states([(uniform_path(2), 1.0)])
         gen = expand_reachable(psi, [grow_rule()], max_dim=3, accept_truncation=True)
-        assert gen.truncated
         assert gen.dim == 3
         assert gen.boundary
 
@@ -295,7 +331,7 @@ class TestEvolve:
                 states.append(s)
         nrng = np.random.Generator(np.random.Philox(5))
         a = nrng.normal(size=(64, 64)) + 1j * nrng.normal(size=(64, 64))
-        gen = Generator(tuple(states), a + a.conj().T, frozenset(), False)
+        gen = Generator(tuple(states), a + a.conj().T, frozenset())
         psi = normalize(
             Wavefunctional.from_states(zip(states, nrng.normal(size=64) + 1j * nrng.normal(size=64)))
         )
@@ -306,7 +342,7 @@ class TestEvolve:
         states = [uniform_path(k + 2) for k in range(6)]
         nrng = np.random.Generator(np.random.Philox(9))
         a = nrng.normal(size=(6, 6)) + 1j * nrng.normal(size=(6, 6))
-        gen = Generator(tuple(states), a + a.conj().T, frozenset(), False)
+        gen = Generator(tuple(states), a + a.conj().T, frozenset())
         psi = normalize(Wavefunctional.from_states(zip(states, nrng.normal(size=6) + 0j)))
         phi = normalize(Wavefunctional.from_states(zip(states, nrng.normal(size=6) + 0j)))
         before = inner_product(psi, phi)
