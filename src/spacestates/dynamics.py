@@ -6,14 +6,18 @@ labels) and the replacement updates that site. Each application contributes
 a symmetric coupling between the source and result states, so the assembled
 generator is Hermitian by construction. The basis is a breadth-first
 closure of the seed support in which each state is expanded once: its rule
-applications both discover new states and, once the basis is fixed, supply
-the generator's couplings. Evolution applies the exact matrix exponential on
-that truncated basis.
+applications both discover new states and, once the basis is fixed, give the
+generator's coupling pattern. The basis and that pattern depend only on the
+rule shapes, not on the coupling strengths, so the expansion is done once per
+rule structure and re-weighted for each coupling set. Evolution applies the
+exact matrix exponential on that truncated basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 from scipy.linalg import expm
@@ -26,7 +30,7 @@ from .spacegraph import (
     ssg1_dumps,
     ssg1_loads,
 )
-from .wavefunctional import EntryKey, Wavefunctional, entry_key
+from .wavefunctional import PRUNE_TOLERANCE, EntryKey, Wavefunctional, entry_key
 
 BOUNDARY_LEAK_TOLERANCE = 1e-8
 
@@ -198,7 +202,7 @@ class Generator:
     matrix: np.ndarray
     boundary: frozenset[int]
 
-    def index(self) -> dict[EntryKey, int]:
+    def index(self) -> Mapping[EntryKey, int]:
         cached = self.__dict__.get("_index")
         if cached is None:
             cached = {entry_key(s): i for i, s in enumerate(self.basis)}
@@ -219,26 +223,36 @@ class Generator:
         return len(self.basis)
 
 
-def expand_reachable(
-    seed: Wavefunctional,
-    rules: list[RewriteRule],
-    max_dim: int,
-    accept_truncation: bool = False,
-) -> Generator:
-    """Breadth-first closure of the seed support under single rule
-    applications, truncated at max_dim states. Each BFS level enters the
-    basis in canonical-key order, so the basis is deterministic. Every basis
-    state is expanded once; the generator is assembled from the recorded
-    applications after the basis is fixed."""
-    if len(seed) == 0:
-        raise ValueError("seed wavefunctional is empty")
-    if max_dim < len(seed):
-        raise ValueError("max_dim must cover the seed support")
+@dataclass(frozen=True)
+class _Structure:
+    """The coupling-free part of an expansion: the basis, its index, the
+    boundary and every in-basis application as (src, dst, rule position),
+    in the order the breadth-first search made them. Together the
+    applications of rule position r are the rule term A_r in coordinate form.
+    The index is read-only because every re-weighted Generator shares it."""
 
-    ordered_rules = sorted(rules, key=lambda r: r.rule_id)
-    basis: list[SpaceState] = [seed.entries[k][0] for k in seed.sorted_keys()]
+    basis: tuple[SpaceState, ...]
+    index: Mapping[EntryKey, int]
+    boundary: frozenset[int]
+    applications: tuple[tuple[int, int, int], ...]
+
+
+# Expansions keyed by the exact seed and rule structure (vertex identifiers
+# included, couplings excluded), so rule sets that differ only in their
+# couplings share one expansion.
+_STRUCTURE_CACHE: dict[tuple, _Structure] = {}
+_STRUCTURE_CACHE_MAX = 64
+
+
+def _expand_structure(
+    seed_states: list[SpaceState],
+    ordered_rules: list[RewriteRule],
+    max_dim: int,
+    accept_truncation: bool,
+) -> _Structure:
+    basis = list(seed_states)
     index = {entry_key(s): i for i, s in enumerate(basis)}
-    applications: list[tuple[int, EntryKey, float]] = []
+    found: list[tuple[int, EntryKey, int]] = []
 
     # A full basis stops admitting states, but its last level is still
     # expanded so that its couplings and boundary are recorded.
@@ -246,10 +260,10 @@ def expand_reachable(
     while expanded < len(basis):
         discovered: dict[EntryKey, SpaceState] = {}
         for src in range(expanded, len(basis)):
-            for rule in ordered_rules:
+            for pos, rule in enumerate(ordered_rules):
                 for result in rule_applications(rule, basis[src]):
                     key = entry_key(result)
-                    applications.append((src, key, rule.coupling))
+                    found.append((src, key, pos))
                     if key not in index:
                         discovered.setdefault(key, result)
         expanded = len(basis)
@@ -260,18 +274,66 @@ def expand_reachable(
             index[key] = len(basis)
             basis.append(discovered[key])
 
-    # Each application at each site adds one Hermitian term
-    # g(|result><source| + |source><result|).
-    matrix = np.zeros((len(basis), len(basis)), dtype=complex)
+    applications: list[tuple[int, int, int]] = []
     boundary: set[int] = set()
-    for src, key, coupling in applications:
+    for src, key, pos in found:
         dst = index.get(key)
         if dst is None:
             boundary.add(src)
-            continue
-        matrix[src, dst] += coupling
-        matrix[dst, src] += coupling
-    return Generator(tuple(basis), matrix, frozenset(boundary))
+        else:
+            applications.append((src, dst, pos))
+    return _Structure(
+        tuple(basis), MappingProxyType(index), frozenset(boundary), tuple(applications)
+    )
+
+
+def expand_reachable(
+    seed: Wavefunctional,
+    rules: list[RewriteRule],
+    max_dim: int,
+    accept_truncation: bool = False,
+) -> Generator:
+    """Breadth-first closure of the seed support under single rule
+    applications, truncated at max_dim states. Each BFS level enters the
+    basis in canonical-key order, so the basis is deterministic. Every basis
+    state is expanded once per rule structure: the expansion is memoized on
+    the exact seed states, rule fragments, max_dim and accept_truncation, and
+    each call weights its recorded applications with its own couplings. A
+    refused truncation is never memoized, so it raises on every call."""
+    if len(seed) == 0:
+        raise ValueError("seed wavefunctional is empty")
+    if max_dim < len(seed):
+        raise ValueError("max_dim must cover the seed support")
+
+    ordered_rules = sorted(rules, key=lambda r: r.rule_id)
+    seed_states = [seed.entries[k][0] for k in seed.sorted_keys()]
+    key = (
+        tuple((s.geometry, s.fields, s.cell_index) for s in seed_states),
+        tuple(
+            (r.rule_id, r.pattern.geometry, r.pattern.fields, r.replacement.geometry, r.replacement.fields)
+            for r in ordered_rules
+        ),
+        max_dim,
+        accept_truncation,
+    )
+    structure = _STRUCTURE_CACHE.get(key)
+    if structure is None:
+        structure = _expand_structure(seed_states, ordered_rules, max_dim, accept_truncation)
+        if len(_STRUCTURE_CACHE) >= _STRUCTURE_CACHE_MAX:
+            _STRUCTURE_CACHE.clear()
+        _STRUCTURE_CACHE[key] = structure
+
+    # Each application at each site adds one Hermitian term
+    # g(|result><source| + |source><result|).
+    couplings = [r.coupling for r in ordered_rules]
+    dim = len(structure.basis)
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for src, dst, pos in structure.applications:
+        matrix[src, dst] += couplings[pos]
+        matrix[dst, src] += couplings[pos]
+    gen = Generator(structure.basis, matrix, structure.boundary)
+    object.__setattr__(gen, "_index", structure.index)
+    return gen
 
 
 def evolve(
@@ -305,7 +367,12 @@ def evolve(
         if not np.isfinite(v).all():
             largest = float(np.abs(gen.matrix).max())
             raise NumericalFailure(f"evolved amplitudes are not finite (largest |H| entry {largest:.3e})")
-    return Wavefunctional.from_states(zip(gen.basis, v), epoch=psi.epoch + 1)
+    entries = {}
+    for key, i in sorted(index.items()):
+        amp = complex(v[i])
+        if abs(amp) > PRUNE_TOLERANCE:
+            entries[key] = (gen.basis[i], amp)
+    return Wavefunctional(entries, psi.epoch + 1)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from spacestates import SpaceState
+from spacestates import SpaceState, dynamics
+
+
+@pytest.fixture(autouse=True)
+def empty_structure_memo():
+    """Start and end every test with no memoized expansion, so that no test
+    depends on which tests ran before it."""
+    dynamics._STRUCTURE_CACHE.clear()
+    yield
+    dynamics._STRUCTURE_CACHE.clear()
 
 
 @pytest.fixture
@@ -20,3 +29,16 @@ def path_state(labels, lengths=None, cell=()):
 
 def uniform_path(n, species=1, matter=1, phase=0, length=1, cell=()):
     return path_state([(species, matter, phase)] * n, [length] * (n - 1), cell)
+
+
+def count_rule_applications(monkeypatch):
+    """Count calls of dynamics.rule_applications; returns a one-item list."""
+    calls = [0]
+    original = dynamics.rule_applications
+
+    def counting(rule, state):
+        calls[0] += 1
+        return original(rule, state)
+
+    monkeypatch.setattr(dynamics, "rule_applications", counting)
+    return calls

@@ -20,7 +20,7 @@ from spacestates import (
 from spacestates.branching import branch_events_jsonl
 from spacestates.reference import brute_force_assoc_kind
 
-from conftest import path_state, uniform_path
+from conftest import count_rule_applications, path_state, uniform_path
 
 
 def species_pair(s1, s2, matter=1):
@@ -223,6 +223,14 @@ class TestAsymmetryExperiment:
         b = asymmetry_experiment(self._rules(), vertex_count_partition(1), epochs=3, seed=1, max_dim=48)
         assert a.forward.branch_counts == b.forward.branch_counts
         assert a.forward.entropies != b.forward.entropies
+
+    def test_seeds_share_one_expansion(self, monkeypatch):
+        # Seeds only jitter the couplings, so the basis is expanded once and
+        # re-weighted for every later seed.
+        calls = count_rule_applications(monkeypatch)
+        for seed in range(3):
+            asymmetry_experiment(self._rules(), vertex_count_partition(1), epochs=1, seed=seed, max_dim=48)
+        assert calls[0] == 48 * 2
 
     def test_child_keys_within_parent_support_reachability(self):
         # Every child node's keys lie in the coupling-graph closure of its

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spacestates import wfn1_loads
 from spacestates.cli import ConfigError, ExperimentConfig, main
@@ -260,3 +262,44 @@ PINNED_DIGESTS = {
 def test_shipped_config_artifacts_match_pinned_digests(tmp_path, name):
     assert invoke("run", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path / name)) == 0
     assert hashes(tmp_path / name) == PINNED_DIGESTS[name]
+
+
+# Fuzzing the rule file: every mutant of the shipped reference RUL1 text
+# must end in a documented exit code of `run`, never in a traceback.
+REFERENCE_RUL1_LINES = (CONFIG_DIR / "reference_branching.rul").read_text().splitlines()
+MANGLED_TOKENS = (
+    "", "x", "-1", "0", "1/0", "-0.5", "nan", "inf", "1e308", "99999999999999999999",
+    "rule", "pattern", "replacement", "end", "SSG1", "RUL1", "v", "e",
+)
+
+
+@st.composite
+def mutated_rul1(draw):
+    lines = list(REFERENCE_RUL1_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("delete", "truncate", "duplicate", "mangle")))
+        if op == "delete":
+            del lines[i]
+        elif op == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            tokens = lines[i].split() or [""]
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[j] = draw(st.sampled_from(MANGLED_TOKENS))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=mutated_rul1())
+def test_mutated_reference_rules_end_in_documented_exit_code(tmp_path_factory, text):
+    tmp_path = tmp_path_factory.mktemp("rul1")
+    rules = tmp_path / "mutant.rul"
+    rules.write_text(text)
+    path = reference_config(tmp_path, rules_file=str(rules), epochs=1)
+    assert invoke("run", str(path)) in (0, 1, 2, 3, 4)

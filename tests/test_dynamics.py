@@ -25,11 +25,12 @@ from spacestates import (
     normalize,
     rul1_dumps,
     rul1_loads,
+    ssg1_dumps,
 )
 from spacestates import dynamics
 from spacestates.corpus import random_space_state
 
-from conftest import path_state, uniform_path
+from conftest import count_rule_applications, path_state, uniform_path
 
 
 def rabi_pair():
@@ -176,6 +177,22 @@ def three_rule_system():
     return seed, [flip, swap, grow]
 
 
+def assert_same_as_uncached(gen, *args, **kwargs):
+    """gen's basis (as SSG1 text), matrix and boundary equal those of a call
+    with the given arguments on an empty expansion memo."""
+    dynamics._STRUCTURE_CACHE.clear()
+    cold = expand_reachable(*args, **kwargs)
+    assert [ssg1_dumps(s) for s in gen.basis] == [ssg1_dumps(s) for s in cold.basis]
+    assert np.array_equal(gen.matrix, cold.matrix)
+    assert gen.boundary == cold.boundary
+
+
+def relabeled(state, mapping):
+    fields = {mapping[v]: rec.label() for v, rec in state.fields.fields}
+    edges = [(mapping[u], mapping[v], w) for u, v, w in state.geometry.edges]
+    return SpaceState.build(fields, edges, state.cell_index)
+
+
 class TestExpandReachable:
     def test_empty_rule_set_gives_zero_matrix(self):
         psi = Wavefunctional.from_states([(uniform_path(2), 0.6), (uniform_path(3), 0.8)])
@@ -219,19 +236,21 @@ class TestExpandReachable:
 
     @pytest.mark.parametrize("max_dim", THREE_RULE_MAX_DIMS)
     def test_each_basis_state_expanded_once_per_rule(self, monkeypatch, max_dim):
+        # A cold call expands each basis state once per rule. A second call
+        # on the same rule shapes with other couplings expands nothing: it
+        # re-weights the memoized applications, bit for bit as a cold build.
         seed, rules = three_rule_system()
-        calls = 0
-        original = dynamics.rule_applications
-
-        def counting(rule, state):
-            nonlocal calls
-            calls += 1
-            return original(rule, state)
-
-        monkeypatch.setattr(dynamics, "rule_applications", counting)
+        calls = count_rule_applications(monkeypatch)
         psi = Wavefunctional.from_states([(seed, 1.0)])
         gen = expand_reachable(psi, rules, max_dim=max_dim, accept_truncation=True)
-        assert calls == gen.dim * len(rules)
+        assert calls[0] == gen.dim * len(rules)
+
+        rejittered = [r.with_coupling(r.coupling * (1.0 + 0.03 * (i + 1))) for i, r in enumerate(rules)]
+        warm = expand_reachable(psi, rejittered, max_dim=max_dim, accept_truncation=True)
+        assert calls[0] == gen.dim * len(rules)
+        assert_same_as_uncached(warm, psi, rejittered, max_dim=max_dim, accept_truncation=True)
+        if gen.matrix.any():
+            assert not np.array_equal(warm.matrix, gen.matrix)
 
     def test_truncation_refused_raises(self):
         psi = Wavefunctional.from_states([(uniform_path(2), 1.0)])
@@ -262,6 +281,72 @@ class TestExpandReachable:
         gen_a = expand_reachable(Wavefunctional.from_states([(base, 1.0)]), [rule], 8)
         gen_b = expand_reachable(Wavefunctional.from_states([(far_flipped, 1.0)]), [rule], 8)
         assert np.array_equal(gen_a.matrix, gen_b.matrix)
+
+
+class TestStructureMemo:
+    """The memo is keyed on exact structure: vertex identifiers, max_dim and
+    accept_truncation all count, couplings do not. A key built from state
+    or rule equality would hand an isomorphic input the representatives of
+    an earlier one."""
+
+    def test_relabeled_seed_gets_its_own_structure(self, monkeypatch):
+        seed, rules = three_rule_system()
+        twin = relabeled(seed, {0: 3, 1: 0, 2: 2, 3: 1})
+        assert twin == seed and ssg1_dumps(twin) != ssg1_dumps(seed)
+        expand_reachable(Wavefunctional.from_states([(seed, 1.0)]), rules, max_dim=64)
+        calls = count_rule_applications(monkeypatch)
+        psi = Wavefunctional.from_states([(twin, 1.0)])
+        gen = expand_reachable(psi, rules, max_dim=64)
+        assert calls[0] == gen.dim * len(rules)
+        assert ssg1_dumps(gen.basis[0]) == ssg1_dumps(twin)
+        assert_same_as_uncached(gen, psi, rules, max_dim=64)
+
+    def test_rule_with_permuted_pattern_vertices_gets_its_own_structure(self, monkeypatch):
+        seed, rules = three_rule_system()
+        swap = rules[1]
+        # Listing the pattern's vertices the other way round keeps the
+        # pattern equal as a state but makes the rule map each site to itself.
+        permuted = RewriteRule(
+            swap.rule_id,
+            SpaceState.build({0: (2, 1, 0), 1: (1, 1, 0)}, [(0, 1, 1)]),
+            swap.replacement,
+            0.3,
+        )
+        assert permuted.with_coupling(swap.coupling) == swap
+        psi = Wavefunctional.from_states([(seed, 1.0)])
+        original = expand_reachable(psi, rules, max_dim=64)
+        calls = count_rule_applications(monkeypatch)
+        changed = [rules[0], permuted, rules[2]]
+        gen = expand_reachable(psi, changed, max_dim=64)
+        assert calls[0] == gen.dim * len(rules)
+        assert not np.array_equal(gen.matrix, original.matrix)
+        assert_same_as_uncached(gen, psi, changed, max_dim=64)
+
+    def test_other_max_dim_gets_its_own_structure(self, monkeypatch):
+        seed, rules = three_rule_system()
+        psi = Wavefunctional.from_states([(seed, 1.0)])
+        expand_reachable(psi, rules, max_dim=64, accept_truncation=True)
+        calls = count_rule_applications(monkeypatch)
+        gen = expand_reachable(psi, rules, max_dim=5, accept_truncation=True)
+        assert gen.dim == 5 and calls[0] == 5 * len(rules)
+        assert_same_as_uncached(gen, psi, rules, max_dim=5, accept_truncation=True)
+
+    def test_refused_truncation_is_never_memoized(self, monkeypatch):
+        psi = Wavefunctional.from_states([(uniform_path(2), 1.0)])
+        rules = [grow_rule()]
+        expand_reachable(psi, rules, max_dim=3, accept_truncation=True)
+        for _ in range(3):
+            with pytest.raises(TruncationExceeded):
+                expand_reachable(psi, rules, max_dim=3)
+        # A closure that fits needs no truncation, yet the accepting and
+        # the refusing call still keep separate structures.
+        seed, rules = three_rule_system()
+        psi = Wavefunctional.from_states([(seed, 1.0)])
+        expand_reachable(psi, rules, max_dim=9, accept_truncation=True)
+        calls = count_rule_applications(monkeypatch)
+        gen = expand_reachable(psi, rules, max_dim=9)
+        assert calls[0] == 9 * len(rules)
+        assert_same_as_uncached(gen, psi, rules, max_dim=9)
 
 
 class TestApplyRule:
