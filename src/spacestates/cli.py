@@ -210,15 +210,18 @@ class ExperimentConfig:
 
 
 def _load_inputs(config: ExperimentConfig):
+    initial_path = config.resolve_path(config.initial_state_file)
     try:
-        initial_text = config.resolve_path(config.initial_state_file).read_text()
-        initial = ssg1_loads(initial_text)
+        initial = ssg1_loads(initial_path.read_text())
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load initial state: {exc}") from exc
+        raise ConfigError(f"cannot load initial state {initial_path}: {exc}") from exc
+    rules_path = config.resolve_path(config.rules_file)
     try:
-        rules = rul1_loads(config.resolve_path(config.rules_file).read_text())
+        rules = rul1_loads(rules_path.read_text())
     except OSError as exc:
         raise RuleFileError(f"cannot read rules file: {exc}") from exc
+    except RuleFileError as exc:
+        raise RuleFileError(f"{rules_path}: {exc}") from exc
     return initial, rules
 
 

@@ -442,43 +442,42 @@ def rul1_dumps(rules: list[RewriteRule]) -> str:
 
 
 def rul1_loads(text: str) -> list[RewriteRule]:
+    """Parse RUL1 text. Errors name the 1-based line of the bad rule header
+    or block, and SSG1 errors inside a block the line in the whole text."""
     lines = [ln.rstrip() for ln in text.splitlines()]
     stripped = [ln for ln in lines if ln.strip()]
     if not stripped or stripped[0] != "RUL1":
         raise RuleFileError("missing RUL1 header")
     rules: list[RewriteRule] = []
-    i = lines.index("RUL1") + 1
+    i = start = lines.index("RUL1") + 1
+
+    def block(closer: str) -> SpaceState:
+        # The SSG1 fragment from line i up to the next `closer` line.
+        nonlocal i
+        first = i
+        while lines[i].strip() != closer:
+            i += 1
+        i += 1
+        return ssg1_loads("\n".join(lines[first : i - 1]), first_line=first + 1)
+
     try:
         while i < len(lines):
             if not lines[i].strip():
                 i += 1
                 continue
+            start = i
             head = lines[i].split()
             if head[0] != "rule" or len(head) != 3:
-                raise RuleFileError(f"bad rule header: {lines[i]!r}")
+                raise RuleFileError(f"bad rule header on line {i + 1}: {lines[i]!r}")
             rule_id, coupling = int(head[1]), float(head[2])
             i += 1
             if lines[i].strip() != "pattern":
-                raise RuleFileError("expected pattern block")
+                raise RuleFileError(f"expected pattern block on line {i + 1}")
             i += 1
-            pat_lines = []
-            while lines[i].strip() != "replacement":
-                pat_lines.append(lines[i])
-                i += 1
-            i += 1
-            rep_lines = []
-            while lines[i].strip() != "end":
-                rep_lines.append(lines[i])
-                i += 1
-            i += 1
-            rules.append(
-                RewriteRule(
-                    rule_id,
-                    ssg1_loads("\n".join(pat_lines)),
-                    ssg1_loads("\n".join(rep_lines)),
-                    coupling,
-                )
-            )
-    except (IndexError, ValueError) as exc:
-        raise RuleFileError(f"malformed RUL1 file: {exc}") from exc
+            pattern = block("replacement")
+            rules.append(RewriteRule(rule_id, pattern, block("end"), coupling))
+    except IndexError:
+        raise RuleFileError(f"malformed RUL1 file: rule on line {start + 1} ends before its 'end' line") from None
+    except ValueError as exc:
+        raise RuleFileError(f"malformed RUL1 file: rule on line {start + 1}: {exc}") from exc
     return rules

@@ -337,80 +337,102 @@ def gauge_equivalent(a: SpaceState, b: SpaceState) -> bool:
 # ---------------------------------------------------------------------------
 # Canonical labeling: iterated color refinement with edge labels, followed by
 # individualization over the smallest ambiguous color class; the canonical
-# form is the minimum byte string over all branches.
+# form is the minimum byte string over all branches. Each state is mapped to
+# small ints once (vertices to 0..n-1, labels and lengths to their ranks among
+# the state's sorted distinct values, which keeps their order), and the text
+# of every label and length is built once. Twin pruning (McKay & Piperno,
+# "Practical graph isomorphism II", 2014): twins have the same label and the
+# same neighbours and lengths outside the pair, so swapping them is an
+# automorphism that fixes every individualized vertex and maps the subtree
+# under one onto the subtree under the other. The search skips a twin of a
+# vertex already branched on; a star or clique of n vertices takes n nodes.
 # ---------------------------------------------------------------------------
 
 
-def _initial_colors(state: SpaceState) -> dict[int, int]:
-    labels = {v: state.fields.get(v).label() for v in state.geometry.vertices}
-    ranking = {lab: i for i, lab in enumerate(sorted(set(labels.values())))}
-    return {v: ranking[labels[v]] for v in state.geometry.vertices}
-
-
-def _refine(colors: dict[int, int], adj: dict[int, dict[int, Fraction]]) -> dict[int, int]:
-    n_colors = len(set(colors.values()))
+def _refine(colors: list[int], adj: list[tuple[tuple[int, int], ...]]) -> list[int]:
+    n_colors = len(set(colors))
     while True:
-        keys = {
-            v: (colors[v], tuple(sorted((length, colors[u]) for u, length in adj[v].items())))
-            for v in colors
-        }
-        ranking = {key: i for i, key in enumerate(sorted(set(keys.values())))}
-        colors = {v: ranking[keys[v]] for v in colors}
-        new_n = len(ranking)
-        if new_n == n_colors:
+        keys = [
+            (color, tuple(sorted([(length, colors[u]) for u, length in nbrs])))
+            for color, nbrs in zip(colors, adj)
+        ]
+        ranking = {key: i for i, key in enumerate(sorted(set(keys)))}
+        colors = [ranking[key] for key in keys]
+        if len(ranking) == n_colors:
             return colors
-        n_colors = new_n
+        n_colors = len(ranking)
 
 
-def _bytes_for_order(state: SpaceState, order: Sequence[int]) -> bytes:
-    pos = {v: i for i, v in enumerate(order)}
-    parts = [str(state.n)]
-    for v in order:
-        rec = state.fields.get(v)
-        parts.append(f"{rec.species_tag},{rec.matter_amplitude},{rec.u1_phase.turns}")
-    edge_lines = sorted(
-        (min(pos[u], pos[v]), max(pos[u], pos[v]), length) for u, v, length in state.geometry.edges
-    )
-    parts.extend(f"{i},{j},{length}" for i, j, length in edge_lines)
-    return ";".join(parts).encode("ascii")
+def _ranks(text: Sequence[str], values: Sequence) -> dict[str, int]:
+    """Rank of each distinct text among the sorted distinct values; a text
+    names its exact value, so the Fractions are only compared, never hashed."""
+    distinct = dict(zip(text, values))
+    return {t: r for r, t in enumerate(sorted(distinct, key=distinct.__getitem__))}
 
 
 def _canonical_bytes(state: SpaceState) -> bytes:
-    adj = state.geometry.adjacency()
+    records = [rec for _, rec in state.fields.fields]
+    label_text = [f"{rec.species_tag},{rec.matter_amplitude},{rec.u1_phase.turns}" for rec in records]
+    label_rank = _ranks(label_text, [rec.label() for rec in records])
+    geometry_edges = state.geometry.edges
+    length_text = [str(length) for _, _, length in geometry_edges]
+    length_rank = _ranks(length_text, [length for _, _, length in geometry_edges])
+    index = {v: i for i, v in enumerate(state.geometry.vertices)}
+    adj: list[dict[int, int]] = [{} for _ in records]
+    edges = []
+    for (u, v, _), text in zip(geometry_edges, length_text):
+        i, j = index[u], index[v]
+        adj[i][j] = adj[j][i] = length_rank[text]
+        edges.append((i, j, text))
+    pairs = [tuple(nbrs.items()) for nbrs in adj]
+    head = [str(len(records))]
 
-    def search(colors: dict[int, int]) -> bytes:
-        colors = _refine(colors, adj)
+    def leaf(pos: list[int]) -> bytes:
+        # A discrete coloring ranks the vertices 0..n-1: color is position.
+        order = sorted(range(len(pos)), key=pos.__getitem__)
+        lines = sorted((min(pos[i], pos[j]), max(pos[i], pos[j]), text) for i, j, text in edges)
+        parts = head + [label_text[v] for v in order] + [f"{i},{j},{text}" for i, j, text in lines]
+        return ";".join(parts).encode("ascii")
+
+    def twins(u: int, v: int) -> bool:
+        nu, nv = adj[u], adj[v]
+        return len(nu) == len(nv) and all(w == v or nv.get(w) == r for w, r in nu.items())
+
+    def search(colors: list[int]) -> bytes:
+        colors = _refine(colors, pairs)
         cells: dict[int, list[int]] = {}
-        for v, c in colors.items():
+        for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)
-        ambiguous = [(len(vs), c, vs) for c, vs in cells.items() if len(vs) > 1]
-        if not ambiguous:
-            order = sorted(colors, key=colors.get)
-            return _bytes_for_order(state, order)
+        if len(cells) == len(colors):
+            return leaf(colors)
         # Branch over the smallest ambiguous class; the choice of class is
-        # isomorphism-invariant because colors are canonically ranked.
-        _, _, target = min(ambiguous, key=lambda item: (item[0], item[1]))
-        fresh = len(cells)
+        # isomorphism-invariant because colors are canonically ranked. A
+        # cell never mixes labels, so twins need only the neighbour test.
+        ambiguous = (vs for vs in cells.values() if len(vs) > 1)
+        target = min(ambiguous, key=lambda vs: (len(vs), colors[vs[0]]))
         best = None
+        branched: list[int] = []
         for v in target:
-            child = dict(colors)
-            child[v] = fresh
+            if any(twins(v, b) for b in branched):
+                continue
+            branched.append(v)
+            child = list(colors)
+            child[v] = len(cells)
             cand = search(child)
             if best is None or cand < best:
                 best = cand
         return best
 
-    return search(_initial_colors(state))
+    return search([label_rank[text] for text in label_text])
 
 
 def _gauge_canonical_bytes(state: SpaceState) -> bytes:
-    charged = state.charged_vertices()
-    if not charged:
+    offsets = {rec.u1_phase.turns for _, rec in state.fields.fields if rec.charged}
+    if not offsets:
         return state.canonical_key
     # Rotating every charged phase so that some charged vertex sits at zero
     # produces a finite orbit-invariant candidate set; the minimum canonical
     # key over it identifies the gauge class exactly.
-    offsets = {state.fields.get(v).u1_phase.turns for v in charged}
     return min(state.gauge_rotated(-delta).canonical_key for delta in sorted(offsets))
 
 
@@ -603,24 +625,42 @@ def ssg1_dumps(state: SpaceState) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ssg1_loads(text: str) -> SpaceState:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "SSG1":
+def ssg1_loads(text: str, first_line: int = 1) -> SpaceState:
+    """Parse SSG1 text. Errors name the 1-based line of the bad record,
+    counting the first line of `text` as line `first_line`."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), first_line) if ln.strip()]
+    if not lines or lines[0][1].strip() != "SSG1":
         raise ValueError("missing SSG1 header")
     fields: dict[int, VertexField] = {}
     edges: list[tuple[int, int, Fraction]] = []
-    for ln in lines[1:]:
+    edge_at: list[str] = []
+    for n, ln in lines[1:]:
         parts = ln.split()
+        at = f"on line {n}: {ln!r}"
         try:
-            if parts[0] == "v" and len(parts) == 5:
-                fields[int(parts[1])] = VertexField(
-                    int(parts[2]), Fraction(parts[3]), Phase.from_turns(Fraction(parts[4]))
-                )
-            elif parts[0] == "e" and len(parts) == 4:
+            if parts[0] == "e" and len(parts) == 4:
                 edges.append((int(parts[1]), int(parts[2]), Fraction(parts[3])))
-            else:
-                raise ValueError(f"bad SSG1 record: {ln!r}")
-        except ZeroDivisionError:
-            raise ValueError(f"bad SSG1 record: {ln!r} (zero denominator)") from None
-    graph = SpaceGraph.build(fields.keys(), edges)
+                edge_at.append(at)
+                continue
+            if parts[0] != "v" or len(parts) != 5:
+                raise ValueError("not a 'v' or 'e' record")
+            vertex = int(parts[1])
+            record = VertexField(int(parts[2]), Fraction(parts[3]), Phase.from_turns(Fraction(parts[4])))
+        except (ValueError, ZeroDivisionError) as exc:
+            detail = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+            raise ValueError(f"bad SSG1 record {at} ({detail})") from None
+        if vertex in fields:
+            raise ValueError(f"duplicate SSG1 vertex {vertex} {at}")
+        fields[vertex] = record
+    try:
+        graph = SpaceGraph.build(fields, edges)
+    except ValueError:
+        # Charge a graph-level fault (unknown vertex, self-loop, duplicate
+        # edge, negative length) to the first edge record that exposes it.
+        for k, at in enumerate(edge_at):
+            try:
+                SpaceGraph.build(fields, edges[: k + 1])
+            except ValueError as exc:
+                raise ValueError(f"bad SSG1 record {at} ({exc})") from None
+        raise
     return SpaceState(graph, FieldConfig.build(fields))

@@ -246,15 +246,16 @@ def wfn1_loads(text: str) -> Wavefunctional:
             continue
         parts = lines[i].split()
         if parts[0] != "entry" or len(parts) != 5:
-            raise ValueError(f"bad WFN1 record: {lines[i]!r}")
+            raise ValueError(f"bad WFN1 record on line {i + 1}: {lines[i]!r}")
         bits = () if parts[2] == "-" else tuple(int(c) for c in parts[2])
         amp = complex(float(parts[3]), float(parts[4]))
         block = []
         i += 1
+        first = i
         while i < len(lines) and lines[i].strip() != "end":
             block.append(lines[i])
             i += 1
         i += 1
-        state = ssg1_loads("\n".join(block)).with_cell_index(bits)
+        state = ssg1_loads("\n".join(block), first_line=first + 1).with_cell_index(bits)
         pairs.append((state, amp))
     return Wavefunctional.from_states(pairs, epoch=epoch)

@@ -149,7 +149,8 @@ class TestRun:
         path = write_config(tmp_path, initial_state_file=str(bad_state))
         assert invoke("run", str(path)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "bad SSG1 record" in err
+        assert err.startswith("config error:") and "bad SSG1 record on line 2:" in err
+        assert str(bad_state) in err
 
     def test_zero_denominator_in_rule_pattern_exits_2(self, tmp_path, capsys):
         rules = (CONFIG_DIR / "two_state_rabi.rul").read_text()
@@ -157,7 +158,26 @@ class TestRun:
         bad_rules.write_text(rules.replace("v 0 1 1 0", "v 0 1 1/0 0", 1))
         path = write_config(tmp_path, rules_file=str(bad_rules))
         assert invoke("run", str(path)) == 2
-        assert "bad SSG1 record" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # Line 5 of the rule file, inside the pattern of the rule on line 2.
+        assert "rule on line 2: bad SSG1 record on line 5:" in err
+        assert str(bad_rules) in err
+
+    def test_duplicate_vertex_in_initial_state_exits_1(self, tmp_path, capsys):
+        bad_state = tmp_path / "dup.ssg"
+        bad_state.write_text("SSG1\nv 0 1 1 0\nv 0 2 5 1/2\n")
+        path = write_config(tmp_path, initial_state_file=str(bad_state))
+        assert invoke("run", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "duplicate SSG1 vertex 0 on line 3:" in err
+
+    def test_duplicate_vertex_in_rule_replacement_exits_2(self, tmp_path, capsys):
+        rules = (CONFIG_DIR / "two_state_rabi.rul").read_text()
+        bad_rules = tmp_path / "dup.rul"
+        bad_rules.write_text(rules.replace("v 1 2 2 0", "v 0 2 2 0", 1))
+        path = write_config(tmp_path, rules_file=str(bad_rules))
+        assert invoke("run", str(path)) == 2
+        assert "duplicate SSG1 vertex 0 on line 11:" in capsys.readouterr().err
 
     def test_overflowing_coupling_exits_4(self, tmp_path, capsys):
         rules = (CONFIG_DIR / "two_state_rabi.rul").read_text()

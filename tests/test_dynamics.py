@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -541,8 +542,22 @@ class TestRuleFiles:
     def test_truncated_block_rejected(self):
         a, b = rabi_pair()
         text = rul1_dumps([RewriteRule(0, a, b, 0.5)])
-        with pytest.raises(RuleFileError):
+        with pytest.raises(RuleFileError, match="rule on line 2 ends before its 'end' line"):
             rul1_loads(text[: len(text) // 2])
+
+    def test_errors_name_the_line_at_fault(self):
+        a, b = rabi_pair()
+        lines = rul1_dumps([RewriteRule(0, a, b, 0.5), grow_rule(1, -0.75)]).splitlines()
+        second = next(i for i, ln in enumerate(lines) if ln.startswith("rule 1"))
+        for i, replacement, message in (
+            (second, "rul 1 -0.75", f"bad rule header on line {second + 1}:"),
+            (second + 1, "patter", f"expected pattern block on line {second + 2}"),
+            (second, "rule x -0.75", f"rule on line {second + 1}: invalid literal"),
+            (second + 3, "v 0 1 -1 0", f"rule on line {second + 1}: bad SSG1 record on line {second + 4}:"),
+        ):
+            broken = lines[:i] + [replacement] + lines[i + 1 :]
+            with pytest.raises(RuleFileError, match=re.escape(message)):
+                rul1_loads("\n".join(broken))
 
     def test_disconnected_pattern_rejected(self):
         frag = SpaceState.build({0: (1, 1, 0), 1: (1, 1, 0)})

@@ -1,4 +1,8 @@
+import hashlib
+import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +13,16 @@ from spacestates import (
     Phase,
     SpaceGraph,
     SpaceState,
+    Wavefunctional,
     canonicalize,
     classify_associability,
     common_subgraph_size,
+    expand_reachable,
     gauge_equivalent,
     is_isomorphic,
+    normalize,
+    rul1_loads,
+    spacegraph,
     ssg1_dumps,
     ssg1_loads,
 )
@@ -115,6 +124,112 @@ class TestCanonicalKey:
         )
         assert canonicalize(cyc) != canonicalize(chord)
 
+
+
+def uniform_graph(n, edges, species=None):
+    """n vertices labeled (1, 1, 0), or (species[v], 1, 0), joined by edges."""
+    species = species or [1] * n
+    return SpaceState.build({v: (species[v], 1, 0) for v in range(n)}, edges)
+
+
+def star(k, leaf_species=(1,), leaf_lengths=(1,)):
+    """Hub 0 with k leaves; leaf i cycles through the given species and lengths."""
+    species = [1] + [leaf_species[i % len(leaf_species)] for i in range(k)]
+    edges = [(0, i + 1, leaf_lengths[i % len(leaf_lengths)]) for i in range(k)]
+    return uniform_graph(k + 1, edges, species)
+
+
+def clique(k):
+    return uniform_graph(k, [(i, j, 1) for i in range(k) for j in range(i)])
+
+
+def twin_heavy_corpus():
+    graphs = []
+    for k in range(2, 10):
+        graphs += [star(k), star(k, leaf_species=(1, 2)), star(k, leaf_lengths=(1, 2))]
+    graphs += [clique(k) for k in range(3, 10)]
+    graphs.append(uniform_graph(6, [(i, j, 1) for i in range(3) for j in range(3, 6)]))  # K_{3,3}
+    # The prism is 3-regular on 6 vertices like K_{3,3}, but has no twins.
+    triangles = [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)]
+    graphs.append(uniform_graph(6, triangles + [(i, i + 3, 1) for i in range(3)]))
+    graphs += [uniform_graph(n, [(i, i + 1, 1) for i in range(n - 1)]) for n in range(2, 10)]
+    graphs += [uniform_graph(n, [(i, (i + 1) % n, 1) for i in range(n)]) for n in range(3, 10)]
+    # A triangle beside a square: refinement leaves one cell of 7 that holds
+    # two orbits, so pruning any non-twin there would change the key.
+    square = [(3 + i, 3 + (i + 1) % 4, 1) for i in range(4)]
+    graphs.append(uniform_graph(7, [(0, 1, 1), (1, 2, 1), (0, 2, 1)] + square))
+    return graphs
+
+
+def count_refinements(monkeypatch, limit):
+    """Count calls of spacegraph._refine, one per search node; returns a
+    one-item list. Fails as soon as the count passes `limit`, so that a
+    search of n! nodes fails at once instead of running for minutes."""
+    calls = [0]
+    original = spacegraph._refine
+
+    def counting(colors, adj):
+        calls[0] += 1
+        assert calls[0] <= limit, f"more than {limit} search nodes"
+        return original(colors, adj)
+
+    monkeypatch.setattr(spacegraph, "_refine", counting)
+    return calls
+
+
+class TestTwinPruning:
+    def test_twin_heavy_keys_agree_with_permutation_oracle(self):
+        small = [g for g in twin_heavy_corpus() if g.n <= 7]
+        for i, a in enumerate(small):
+            for b in small[i:]:
+                assert (canonicalize(a) == canonicalize(b)) == brute_force_isomorphic(a, b)
+
+    def test_twin_heavy_keys_invariant_under_relabeling(self, rng):
+        for state in twin_heavy_corpus():
+            key = canonicalize(state)
+            for _ in range(20):
+                assert canonicalize(random_relabeling(rng, state)) == key
+
+    @pytest.mark.parametrize("name, state", [("star-9", star(9)), ("K9", clique(9))])
+    def test_search_nodes_at_most_vertex_count(self, monkeypatch, name, state):
+        # Without twin pruning both take n! leaves; counting nodes keeps the
+        # check independent of host speed.
+        expected = canonicalize(random_relabeling(random.Random(9), state))
+        calls = count_refinements(monkeypatch, limit=state.n)
+        assert spacegraph._canonical_bytes(state) == expected
+        assert calls[0] >= 1
+
+
+def key_digest(states):
+    """SHA-256 over the sorted canonical keys, then the sorted gauge keys."""
+    digest = hashlib.sha256()
+    for key in sorted(s.canonical_key for s in states):
+        digest.update(key + b"\n")
+    for key in sorted(s.gauge_key for s in states):
+        digest.update(key + b"\n")
+    return digest.hexdigest()
+
+
+class TestPinnedKeys:
+    # Digests recorded before canonical labeling moved to int ranks and twin
+    # pruning; the key bytes themselves, not only the shipped artifacts, must
+    # not move.
+    def test_random_corpus_keys_match_pinned_digest(self):
+        rng = random.Random(6)
+        states = [
+            random_space_state(rng, n_min=1, n_max=10, species=(0, 1, 2), connected=i % 2 == 0)
+            for i in range(500)
+        ]
+        assert key_digest(states) == "1dea05523db6e866ff2e41bfe882d62d0d753e1e8e8213a0c3530bda0857b9a4"
+
+    def test_reference_basis_keys_match_pinned_digest(self):
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        initial = ssg1_loads((configs / "reference_branching.ssg").read_text())
+        rules = rul1_loads((configs / "reference_branching.rul").read_text())
+        psi0 = normalize(Wavefunctional.from_states([(initial, 1.0 + 0j)]))
+        basis = expand_reachable(psi0, rules, 96, True).basis
+        assert len(basis) == 96
+        assert key_digest(basis) == "eecec9ec13448eeea99f2b3e94cdfec8e4d43f2e73820a45123726d09a7c6501"
 
 class TestIsomorphism:
     def test_identical_states_isomorphic(self):
@@ -239,6 +354,16 @@ class TestSerialization:
     def test_header_required(self):
         with pytest.raises(ValueError, match="SSG1"):
             ssg1_loads("v 0 1 1 0\n")
+
+    def test_errors_name_the_line_at_fault(self):
+        for text, message in (
+            ("SSG1\nv 0 1 1 0\nv 0 2 5 1/2\n", "duplicate SSG1 vertex 0 on line 3:"),
+            ("\nSSG1\nv 0 1 x 0\n", "bad SSG1 record on line 3:"),
+            ("SSG1\nv 0 1 1 0\n\ne 0 0 1\n", "bad SSG1 record on line 4: 'e 0 0 1' (self-loop"),
+            ("SSG1\ne 0 1 1\nv 0 1 1 0\nv 1 1 1 0\ne 1 0 2\n", "on line 5: 'e 1 0 2' (duplicate edge"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ssg1_loads(text)
 
     def test_format_shape(self):
         text = ssg1_dumps(path_state([(1, Fraction(3, 2), Fraction(1, 4)), (2, 1, 0)], [Fraction(1, 3)]))
