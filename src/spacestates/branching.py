@@ -2,7 +2,8 @@
 
 At each epoch the support is partitioned into connected components of the
 associability graph (edges wherever two states are not completely
-dissociated) and sub-partitioned by macro label; the resulting nodes are
+dissociated, that is, wherever their fragment signatures meet) and
+sub-partitioned by macro label; the resulting nodes are
 linked across epochs by maximal key overlap, falling back to associability
 overlap when no keys survive, and branching/merging events are recorded.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from .dynamics import RewriteRule, evolve, expand_reachable
 from .macrostates import MacroPartition
-from .spacegraph import AssocKind, SpaceState, classify_cached
+from .spacegraph import SpaceState, fragment_signatures
 from .wavefunctional import EntryKey, Wavefunctional
 
 
@@ -92,31 +93,33 @@ class BranchTree:
         return out
 
 
-def _associable(a: SpaceState, b: SpaceState, k_min: int) -> bool:
-    return classify_cached(a, b, k_min).kind is not AssocKind.COMPLETELY_DISSOCIATED
-
-
 def _components(states: dict[bytes, SpaceState], k_min: int) -> dict[bytes, int]:
-    """Connected components of the associability graph over canonical keys."""
+    """Connected components of the associability graph over canonical keys,
+    numbered in order of their smallest key.
+
+    Two states are associable exactly when their fragment signatures meet,
+    so the components are found by walking from states to the signatures
+    they hold and on to every other holder, each signature once."""
     keys = sorted(states)
-    parent = {k: k for k in keys}
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for i, ka in enumerate(keys):
-        for kb in keys[i + 1 :]:
-            if find(ka) == find(kb):
-                continue
-            if _associable(states[ka], states[kb], k_min):
-                ra, rb = find(ka), find(kb)
-                parent[max(ra, rb)] = min(ra, rb)
-    roots = sorted({find(k) for k in keys})
-    rank = {r: i for i, r in enumerate(roots)}
-    return {k: rank[find(k)] for k in keys}
+    holders: dict[bytes, list[bytes]] = {}
+    for k in keys:
+        for sig in fragment_signatures(states[k], k_min):
+            holders.setdefault(sig, []).append(k)
+    comp: dict[bytes, int] = {}
+    count = 0
+    for start in keys:
+        if start in comp:
+            continue
+        comp[start] = count
+        stack = [start]
+        while stack:
+            for sig in fragment_signatures(states[stack.pop()], k_min):
+                for other in holders.pop(sig, ()):
+                    if other not in comp:
+                        comp[other] = count
+                        stack.append(other)
+        count += 1
+    return comp
 
 
 def track(
@@ -217,14 +220,16 @@ def track(
 def _assoc_overlap(
     child: BranchNode, parent: BranchNode, by_ckey: dict[bytes, SpaceState], k_min: int
 ) -> int:
-    count = 0
-    child_ckeys = {k[0] for k in child.member_keys}
-    parent_ckeys = {k[0] for k in parent.member_keys}
-    for ck in sorted(child_ckeys):
-        for pk in sorted(parent_ckeys):
-            if _associable(by_ckey[ck], by_ckey[pk], k_min):
-                count += 1
-    return count
+    """Associable (child, parent) pairs of canonical keys: pairs whose
+    fragment signatures meet."""
+    owners: dict[bytes, set[bytes]] = {}
+    for pk in {k[0] for k in parent.member_keys}:
+        for sig in fragment_signatures(by_ckey[pk], k_min):
+            owners.setdefault(sig, set()).add(pk)
+    return sum(
+        len(set().union(*(owners.get(sig, ()) for sig in fragment_signatures(by_ckey[ck], k_min))))
+        for ck in {k[0] for k in child.member_keys}
+    )
 
 
 def _descendants_at(node: BranchNode, epoch: int) -> list[BranchNode]:
@@ -241,7 +246,8 @@ def _descendants_at(node: BranchNode, epoch: int) -> list[BranchNode]:
 def irreversibility_scan(tree: BranchTree, horizon: int) -> BranchTree:
     """Mark each branching event irreversible when no pair of keys from
     different child branches is associable at any epoch within `horizon`
-    epochs after the event. Horizon 0 is vacuously irreversible."""
+    epochs after the event. Horizon 0 is vacuously irreversible. Such a
+    pair exists exactly when the signature sets of two branches meet."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     for event in tree.events:
@@ -250,27 +256,16 @@ def irreversibility_scan(tree: BranchTree, horizon: int) -> BranchTree:
         children = [tree.node(cid) for cid in event.child_ids]
         reversible = False
         for later in range(event.epoch + 1, min(event.epoch + horizon, tree.epochs - 1) + 1):
-            member_sets = []
+            seen: set[bytes] = set()
             for child in children:
-                ckeys = set()
+                side = set()
                 for node in _descendants_at(child, later):
-                    ckeys.update(k[0] for k in node.member_keys)
-                member_sets.append(sorted(ckeys))
-            for i in range(len(member_sets)):
-                for j in range(i + 1, len(member_sets)):
-                    for ck_a in member_sets[i]:
-                        for ck_b in member_sets[j]:
-                            sa = tree.state_for(ck_a)
-                            sb = tree.state_for(ck_b)
-                            if _associable(sa, sb, tree.k_min):
-                                reversible = True
-                                break
-                        if reversible:
-                            break
-                    if reversible:
-                        break
-                if reversible:
+                    for key in node.member_keys:
+                        side |= fragment_signatures(tree.state_for(key[0]), tree.k_min)
+                if not seen.isdisjoint(side):
+                    reversible = True
                     break
+                seen |= side
             if reversible:
                 break
         event.irreversible = not reversible

@@ -5,8 +5,9 @@ rejected). Identical config and seed produce byte-identical artifacts: all
 floats are serialized as shortest round-trip decimals, every collection is
 emitted in sorted order, and no timestamps enter any file.
 
-Exit codes: 0 ok, 1 config error, 2 rule file error, 3 truncation refused,
-4 numerical failure, 5 verification failure.
+Exit codes: 0 ok, 1 config error (including a k_min whose fragment count on
+the expanded basis exceeds `spacegraph.FRAGMENT_LIMIT`), 2 rule file error,
+3 truncation refused, 4 numerical failure, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .dynamics import (
 )
 from .macrostates import MacroPartition, builtin_classifiers, partition_by_name, verify_projector_algebra
 from .reference import bisection_refinement, brute_force_assoc_kind
-from .spacegraph import classify_associability, ssg1_loads
+from .spacegraph import FragmentLimitExceeded, check_fragment_count, classify_associability, ssg1_loads
 from .wavefunctional import (
     Wavefunctional,
     gauge_absorb,
@@ -168,6 +169,7 @@ class ExperimentConfig:
             (self.epochs >= 0, "epochs must be >= 0"),
             (0 <= self.depth_max <= 24, "depth_max must be in [0, 24]"),
             (self.samples >= 1, "samples must be >= 1"),
+            (self.seed >= 0, "seed must be >= 0"),
             (self.max_dim >= 1, "max_dim must be >= 1"),
             (self.horizon >= 0, "horizon must be >= 0"),
             (self.verify_corpus >= 0, "verify_corpus must be >= 0"),
@@ -231,6 +233,12 @@ def run(config: ExperimentConfig) -> dict[str, str]:
     initial, rules = _load_inputs(config)
     psi0 = normalize(Wavefunctional.from_states([(initial, 1.0 + 0j)]))
     gen = expand_reachable(psi0, rules, config.max_dim, config.accept_truncation)
+    # Branch tracking labels every connected k_min-vertex fragment of every
+    # support state; C(n, k_min) grows with n, so the largest state decides.
+    try:
+        check_fragment_count(max(state.n for state in gen.basis), config.k_min)
+    except FragmentLimitExceeded as exc:
+        raise ConfigError(f"k_min too large for the expanded basis: {exc}") from None
 
     series = [psi0]
     for _ in range(config.epochs):

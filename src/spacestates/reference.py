@@ -4,8 +4,10 @@ These are deliberately independent of the canonical-labeling, subgraph
 search and counting machinery: isomorphism is decided by backtracking over
 vertex bijections on the raw structure, common subgraphs by enumerating
 connected induced vertex subsets, and refinement counts by materializing
-every dyadic cell. The verification suite and the test oracles compare the
-fast paths against these.
+every dyadic cell. Branch components and irreversibility are decided pair by
+pair with the exact common-subgraph search, not through fragment
+signatures. The verification suite and the test oracles compare the fast
+paths against these.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .branching import BranchTree, _descendants_at
 from .macrostates import MacroPartition
-from .spacegraph import AssocKind, SpaceState
+from .spacegraph import AssocKind, SpaceState, common_subgraph_size, gauge_equivalent
 from .wavefunctional import DensitizedView, EntryKey
 
 
@@ -137,6 +140,66 @@ def brute_force_assoc_kind(a: SpaceState, b: SpaceState, k_min: int) -> AssocKin
     if brute_force_common_subgraph_size(a, b) >= k_min:
         return AssocKind.PARTIALLY_DISSOCIATED
     return AssocKind.COMPLETELY_DISSOCIATED
+
+
+_PAIR_CACHE: dict[tuple[bytes, bytes], tuple[bool, int]] = {}
+
+
+def pairwise_associable(a: SpaceState, b: SpaceState, k_min: int) -> bool:
+    """Not completely dissociated, by the exact common-subgraph search at any
+    size (memoized per pair of canonical keys, for every k_min at once)."""
+    ka, kb = sorted((a.canonical_key, b.canonical_key))
+    hit = _PAIR_CACHE.get((ka, kb))
+    if hit is None:
+        size, _exact = common_subgraph_size(a, b, exact_limit=max(a.n, b.n))
+        hit = _PAIR_CACHE[(ka, kb)] = (gauge_equivalent(a, b), size)
+    return hit[0] or hit[1] >= k_min
+
+
+def pairwise_components(states: dict[bytes, SpaceState], k_min: int) -> dict[bytes, int]:
+    """Connected components of the associability graph over canonical keys,
+    testing every pair; ids rank the components by their smallest key."""
+    keys = sorted(states)
+    parent = {k: k for k in keys}
+
+    def find(k):
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    for i, ka in enumerate(keys):
+        for kb in keys[i + 1 :]:
+            ra, rb = find(ka), find(kb)
+            if ra != rb and pairwise_associable(states[ka], states[kb], k_min):
+                parent[max(ra, rb)] = min(ra, rb)
+    roots = sorted({find(k) for k in keys})
+    return {k: roots.index(find(k)) for k in keys}
+
+
+def pairwise_irreversible(tree: BranchTree, horizon: int) -> list[bool]:
+    """For each branch event of `tree`, in order: True when no pair of keys
+    from different child branches is associable at any epoch within
+    `horizon` epochs after it, testing every cross pair."""
+    verdicts = []
+    for event in tree.events:
+        if event.kind != "branch":
+            continue
+        children = [tree.node(cid) for cid in event.child_ids]
+        reversible = False
+        for later in range(event.epoch + 1, min(event.epoch + horizon, tree.epochs - 1) + 1):
+            sides = [
+                sorted({k[0] for node in _descendants_at(child, later) for k in node.member_keys})
+                for child in children
+            ]
+            reversible = reversible or any(
+                pairwise_associable(tree.state_for(ca), tree.state_for(cb), tree.k_min)
+                for i, side in enumerate(sides)
+                for other in sides[i + 1 :]
+                for ca in side
+                for cb in other
+            )
+        verdicts.append(not reversible)
+    return verdicts
 
 
 def dense_inner_product(a, b) -> complex:

@@ -23,7 +23,14 @@ NEUTRAL_SPECIES = 0
 
 # Exact maximum-common-subgraph search is used up to this many vertices on
 # the larger graph; beyond it a greedy seed-and-extend lower bound is used.
+# Only the overlap fraction comes from this search; the dissociation verdict
+# is exact at any size (see `fragment_signatures`).
 EXACT_SUBGRAPH_LIMIT = 8
+
+# `fragment_signatures` refuses a state whose C(n, k_min) candidate vertex
+# subsets exceed this, before enumerating any; a state of at most 8 vertices
+# has at most C(8, 4) = 70.
+FRAGMENT_LIMIT = 5000
 
 
 def as_fraction(value) -> Fraction:
@@ -572,24 +579,111 @@ def _greedy_mcs(a, b, adj_a, adj_b, compat) -> int:
     return best
 
 
+# ---------------------------------------------------------------------------
+# Fragment signatures. Every connected graph on at least k vertices has a
+# connected induced subgraph on exactly k vertices (drop a leaf of a spanning
+# tree until k remain), and an induced subgraph of a common induced subgraph
+# is common again. So two states share a connected induced labeled subgraph
+# of at least k_min vertices exactly when they share a connected induced
+# k_min-vertex fragment, and they are not completely dissociated exactly when
+# their signature sets (gauge key plus fragment keys) intersect.
+# ---------------------------------------------------------------------------
+
+
+class FragmentLimitExceeded(ValueError):
+    """Raised when a state has too many candidate k_min-vertex fragments."""
+
+
+def check_fragment_count(n: int, k_min: int) -> None:
+    """Raise FragmentLimitExceeded when C(n, k_min) exceeds FRAGMENT_LIMIT."""
+    count = math.comb(n, k_min)
+    if count > FRAGMENT_LIMIT:
+        raise FragmentLimitExceeded(
+            f"a state of {n} vertices with k_min {k_min} has C({n}, {k_min}) = {count} "
+            f"candidate fragments, above the limit of {FRAGMENT_LIMIT}"
+        )
+
+
+def _connected_subsets(adj: list[set[int]], k: int) -> list[tuple[int, ...]]:
+    """Every connected k-vertex subset exactly once, each grown from its
+    smallest vertex through exclusive neighbours (Wernicke's ESU, 2006)."""
+    out: list[tuple[int, ...]] = []
+
+    def extend(sub: tuple[int, ...], closed: set[int], ext: list[int], root: int) -> None:
+        if len(sub) == k:
+            out.append(sub)
+            return
+        while ext:
+            w = ext.pop()
+            fresh = [u for u in adj[w] if u > root and u not in closed]
+            extend(sub + (w,), closed | adj[w], ext + fresh, root)
+
+    for v in range(len(adj)):
+        extend((v,), adj[v] | {v}, [u for u in adj[v] if u > v], v)
+    return out
+
+
+_FRAGMENT_CACHE: dict[tuple[bytes, int], frozenset[bytes]] = {}
+
+
+def fragment_signatures(state: SpaceState, k_min: int) -> frozenset[bytes]:
+    """The state's gauge key (tagged b"g") and the canonical key of every
+    connected induced k_min-vertex fragment (tagged b"f"). Memoized on the
+    canonical key; raises FragmentLimitExceeded before enumerating when
+    C(n, k_min) exceeds FRAGMENT_LIMIT."""
+    key = (state.canonical_key, k_min)
+    cached = _FRAGMENT_CACHE.get(key)
+    if cached is None:
+        check_fragment_count(state.n, k_min)
+        verts = state.geometry.vertices
+        index = {v: i for i, v in enumerate(verts)}
+        adj: list[set[int]] = [set() for _ in verts]
+        for u, v, _ in state.geometry.edges:
+            adj[index[u]].add(index[v])
+            adj[index[v]].add(index[u])
+        records = [rec for _, rec in state.fields.fields]
+        edges = [(index[u], index[v], length) for u, v, length in state.geometry.edges]
+        sigs = {b"g" + state.gauge_key}
+        for subset in _connected_subsets(adj, k_min):
+            # Fragments are renumbered 0..k-1, so equal fragments of
+            # different states share one canonical-cache entry.
+            pos = {v: i for i, v in enumerate(sorted(subset))}
+            graph = SpaceGraph(
+                tuple(range(k_min)),
+                tuple((pos[u], pos[v], w) for u, v, w in edges if u in pos and v in pos),
+            )
+            fields = FieldConfig(tuple((i, records[v]) for v, i in pos.items()))
+            sigs.add(b"f" + SpaceState(graph, fields).canonical_key)
+        cached = frozenset(sigs)
+        if len(_FRAGMENT_CACHE) >= _KEY_CACHE_MAX:
+            _FRAGMENT_CACHE.clear()
+        _FRAGMENT_CACHE[key] = cached
+    return cached
+
+
 def classify_associability(a: SpaceState, b: SpaceState, k_min: int = 2) -> Associability:
     """Classify how two space-states can be matched.
 
     Globally associable means isomorphic up to a global U(1) phase offset on
     the charged vertices; partially dissociated means a shared connected
     region of at least k_min vertices exists; completely dissociated
-    otherwise. Cell indices never enter the classification.
+    otherwise. Cell indices never enter the classification. The verdict is
+    exact at any size: it is read off shared fragment signatures. The
+    overlap fraction comes from `common_subgraph_size` (a lower bound above
+    EXACT_SUBGRAPH_LIMIT, flagged by overlap_exact), floored at k_min/min_n
+    when a fragment is shared.
     """
     if k_min < 1:
         raise ValueError("k_min must be >= 1")
     if gauge_equivalent(a, b):
         return Associability(AssocKind.GLOBALLY_ASSOCIABLE, Fraction(1))
+    shared = not fragment_signatures(a, k_min).isdisjoint(fragment_signatures(b, k_min))
     size, exact = common_subgraph_size(a, b)
     min_n = min(a.n, b.n)
-    frac = Fraction(size, min_n)
-    if size >= k_min:
-        return Associability(AssocKind.PARTIALLY_DISSOCIATED, frac, exact)
-    return Associability(AssocKind.COMPLETELY_DISSOCIATED, frac, exact)
+    if shared:
+        size = max(size, k_min)
+        return Associability(AssocKind.PARTIALLY_DISSOCIATED, Fraction(size, min_n), exact or size == min_n)
+    return Associability(AssocKind.COMPLETELY_DISSOCIATED, Fraction(size, min_n), exact)
 
 
 _ASSOC_CACHE: dict[tuple, Associability] = {}

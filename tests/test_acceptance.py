@@ -4,6 +4,7 @@ Run `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 """
 
 import hashlib
+import json
 import math
 import random
 import time
@@ -247,10 +248,18 @@ def test_criterion_08_selflocation_sampling():
     report("criterion-8 selflocation-sampling", f"chi2 {chi2:.2f} < {threshold:.2f}")
 
 
+# SHA-256 of the JSON list, per seed 0..99, of [branch counts, branch events,
+# merge events, entropies rounded to 12 places] forward and backward, as
+# recorded with the pairwise component loop before branch components came
+# from fragment signatures.
+CRITERION_9_SUMMARY_SHA256 = "ca6f4cc8e8289da1337d3d8129ad8e80ca8d781bf682fd06ca9b07cc7a517a97"
+
+
 def test_criterion_09_branching_structure():
     rules = rul1_loads((CONFIG_DIR / "reference_branching.rul").read_text())
     part = vertex_count_partition(1)
     non_decreasing = 0
+    rows = []
     for seed in range(100):
         summary = asymmetry_experiment(
             rules, part, epochs=6, seed=seed, dt=0.2, max_dim=96, k_min=2
@@ -258,6 +267,15 @@ def test_criterion_09_branching_structure():
         counts = summary.forward.branch_counts
         if all(x <= y for x, y in zip(counts, counts[1:])):
             non_decreasing += 1
+        rows.append(
+            [
+                [d.branch_counts, d.branch_events, d.merge_events, [round(h, 12) for h in d.entropies]]
+                for d in (summary.forward, summary.backward)
+            ]
+        )
+    # The summaries are those of the pairwise component loop, unchanged.
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == CRITERION_9_SUMMARY_SHA256
 
     # Structural checks on the shipped configuration itself.
     config = ExperimentConfig.from_file(str(CONFIG_DIR / "reference_branching.json"))

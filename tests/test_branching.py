@@ -1,4 +1,7 @@
+import functools
 import math
+import random
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +20,14 @@ from spacestates import (
     track,
     vertex_count_partition,
 )
-from spacestates.branching import branch_events_jsonl
-from spacestates.reference import brute_force_assoc_kind
+from spacestates.branching import _assoc_overlap, _components, branch_events_jsonl
+from spacestates.corpus import random_space_state
+from spacestates.reference import (
+    brute_force_assoc_kind,
+    pairwise_associable,
+    pairwise_components,
+    pairwise_irreversible,
+)
 
 from conftest import count_rule_applications, path_state, uniform_path
 
@@ -274,3 +283,71 @@ class TestAsymmetryExperiment:
             if node.parent is not None:
                 reachable = closure(node.parent.member_keys)
                 assert {index[k] for k in node.member_keys} <= reachable
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@functools.lru_cache(maxsize=None)
+def reference_series(max_dim):
+    """Forward and backward epoch series of the shipped reference config."""
+    from spacestates import evolve, expand_reachable, rul1_loads, ssg1_loads
+
+    rules = rul1_loads((CONFIG_DIR / "reference_branching.rul").read_text())
+    initial = ssg1_loads((CONFIG_DIR / "reference_branching.ssg").read_text())
+    forward = [normalize(Wavefunctional.from_states([(initial, 1.0)]))]
+    gen = expand_reachable(forward[0], rules, max_dim, accept_truncation=True)
+    for _ in range(6):
+        forward.append(evolve(forward[-1], gen, 0.2, 1, allow_boundary_leak=True))
+    backward = [forward[-1]]
+    for _ in range(6):
+        backward.append(evolve(backward[-1], gen, -0.2, 1, allow_boundary_leak=True))
+    return forward, backward
+
+
+def check_against_oracles(series, k_min):
+    """Components of every epoch and irreversible flags at every horizon
+    equal the pairwise oracles'; returns the tree and its branch events."""
+    for psi in series:
+        states = {key[0]: psi.entries[key][0] for key in psi.sorted_keys()}
+        assert _components(states, k_min) == pairwise_components(states, k_min)
+    tree = track(series, vertex_count_partition(1), k_min)
+    for horizon in range(len(series)):
+        irreversibility_scan(tree, horizon)
+        flags = [e.irreversible for e in tree.events if e.kind == "branch"]
+        assert flags == pairwise_irreversible(tree, horizon)
+    return tree, len(flags)
+
+
+class TestPairwiseOracles:
+    """The one-pass signature paths against the pairwise loops of reference.py."""
+
+    @pytest.mark.parametrize("k_min", (1, 2, 3))
+    @pytest.mark.parametrize("max_dim", (96, 300))
+    def test_reference_supports_match_oracles(self, max_dim, k_min):
+        for series in reference_series(max_dim):
+            check_against_oracles(series, k_min)
+
+    def test_random_supports_match_oracles(self):
+        rng = random.Random(7)
+        events = 0
+        for _ in range(6):
+            pool = [random_space_state(rng, n_min=2, n_max=5, species=(1, 2)) for _ in range(14)]
+            series = [
+                Wavefunctional.from_states((s, rng.uniform(0.1, 1.0)) for s in rng.sample(pool, 8))
+                for _ in range(4)
+            ]
+            for k_min in (1, 2, 3):
+                tree, branch_events = check_against_oracles(series, k_min)
+                events += branch_events
+                states = {key[0]: state for key, state in tree.states.items()}
+                for child in tree.nodes:
+                    for parent in tree.nodes:
+                        pairs = sum(
+                            pairwise_associable(states[ck], states[pk], k_min)
+                            for ck in {k[0] for k in child.member_keys}
+                            for pk in {k[0] for k in parent.member_keys}
+                        )
+                        assert _assoc_overlap(child, parent, states, k_min) == pairs
+        assert events > 0
+

@@ -84,6 +84,12 @@ class TestConfigParsing:
         path = write_config(tmp_path, seed=True)
         assert invoke("run", str(path)) == 1
 
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        # The sampler's counter-based generator takes only non-negative seeds.
+        assert invoke("run", str(write_config(tmp_path, seed=-1))) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert invoke("run", str(write_config(tmp_path)), "--seed", "-1") == 1
+
 
 class TestRun:
     def test_rabi_weights_match_closed_form(self, tmp_path):
@@ -186,6 +192,21 @@ class TestRun:
         path = write_config(tmp_path, rules_file=str(huge_rules))
         assert invoke("run", str(path)) == 4
         assert "not finite" in capsys.readouterr().err
+
+    def test_too_many_fragments_exits_1(self, tmp_path, capsys):
+        # K20 matches no rule, so the basis is K20 alone; branch tracking at
+        # k_min 10 would label up to C(20, 10) = 184756 fragments.
+        dense = tmp_path / "k20.ssg"
+        dense.write_text(
+            "SSG1\n"
+            + "".join(f"v {v} 1 1 0\n" for v in range(20))
+            + "".join(f"e {u} {v} 1\n" for v in range(20) for u in range(v))
+        )
+        path = write_config(tmp_path, initial_state_file=str(dense), k_min=10)
+        assert invoke("run", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "20 vertices with k_min 10" in err
+        assert not (tmp_path / "out").exists()
 
     def test_largest_accepted_depth_completes(self, tmp_path):
         path = reference_config(tmp_path, depth_max=24)
@@ -293,9 +314,8 @@ MANGLED_TOKENS = (
 )
 
 
-@st.composite
-def mutated_rul1(draw):
-    lines = list(REFERENCE_RUL1_LINES)
+def mutate_lines(draw, lines):
+    lines = list(lines)
     for _ in range(draw(st.integers(1, 3))):
         if not lines:
             break
@@ -315,6 +335,11 @@ def mutated_rul1(draw):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def mutated_rul1(draw):
+    return mutate_lines(draw, REFERENCE_RUL1_LINES)
+
+
 @settings(max_examples=25, deadline=None)
 @given(text=mutated_rul1())
 def test_mutated_reference_rules_end_in_documented_exit_code(tmp_path_factory, text):
@@ -323,3 +348,61 @@ def test_mutated_reference_rules_end_in_documented_exit_code(tmp_path_factory, t
     rules.write_text(text)
     path = reference_config(tmp_path, rules_file=str(rules), epochs=1)
     assert invoke("run", str(path)) in (0, 1, 2, 3, 4)
+
+
+# The same for the initial-state file and the config itself. The runs are
+# kept small (max_dim 16, 1000 samples, depth 4), since these mutants probe
+# parsing and validation, not scale.
+REFERENCE_SSG1_LINES = (CONFIG_DIR / "reference_branching.ssg").read_text().splitlines()
+SMALL_RUN = {"epochs": 1, "max_dim": 16, "samples": 1000, "depth_max": 4}
+
+
+@settings(max_examples=20, deadline=None)
+@given(text=st.composite(lambda draw: mutate_lines(draw, REFERENCE_SSG1_LINES))())
+def test_mutated_reference_initial_state_ends_in_documented_exit_code(tmp_path_factory, text):
+    tmp_path = tmp_path_factory.mktemp("ssg1")
+    state = tmp_path / "mutant.ssg"
+    state.write_text(text)
+    path = reference_config(tmp_path, initial_state_file=str(state), **SMALL_RUN)
+    assert invoke("run", str(path)) in (0, 1, 2, 3, 4)
+
+
+# JSON values for config fuzzing: wrong types, out-of-range and boundary
+# numbers, a bad partition and a missing file. Sizes stay small: the
+# validator sets no upper bound on epochs, steps, max_dim or samples, so a
+# huge value there asks for unbounded work rather than a wrong exit code.
+CONFIG_VALUES = (
+    "", "x", "missing.rul", -1, 0, 1, 2, -0.5, 0.5, 1e308, float("nan"), True, False, None, [], {},
+    {"name": "x"}, {"name": "vertex_count"}, {"name": "vertex_count", "params": {"width": 0}},
+    {"name": "vertex_count", "params": {"width": "x"}, "extra": 1},
+)
+
+
+@st.composite
+def mutated_config_text(draw):
+    cfg = json.loads((CONFIG_DIR / "reference_branching.json").read_text())
+    cfg.update(
+        rules_file=str(CONFIG_DIR / "reference_branching.rul"),
+        initial_state_file=str(CONFIG_DIR / "reference_branching.ssg"),
+        **SMALL_RUN,
+    )
+    keys = sorted(set(cfg) | set(ExperimentConfig.__dataclass_fields__) - {"base_dir"}) + ["bogus"]
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(keys))
+        if draw(st.booleans()):
+            cfg.pop(key, None)
+        else:
+            cfg[key] = draw(st.sampled_from(CONFIG_VALUES))
+    text = json.dumps(cfg)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=mutated_config_text())
+def test_mutated_reference_config_ends_in_documented_exit_code(tmp_path_factory, text):
+    tmp_path = tmp_path_factory.mktemp("config")
+    path = tmp_path / "mutant.json"
+    path.write_text(text)
+    assert invoke("run", str(path), "--out", str(tmp_path / "out")) in (0, 1, 2, 3, 4)

@@ -27,6 +27,8 @@ from spacestates import (
     ssg1_loads,
 )
 from spacestates.corpus import random_relabeling, random_space_state
+from spacestates.reference import _connected_subsets as reference_connected_subsets
+from spacestates.reference import _induced
 from spacestates.reference import (
     brute_force_assoc_kind,
     brute_force_common_subgraph_size,
@@ -339,6 +341,58 @@ class TestAssociability:
         with pytest.raises(ValueError):
             classify_associability(a, a, 0)
 
+    def test_verdict_exact_above_exact_subgraph_limit(self):
+        # Found by a seeded search over random 9-10 vertex pairs: the greedy
+        # common-subgraph search stops at 3 vertices, but both states hold
+        # the same connected induced 4-vertex region, so with k_min 4 they
+        # are partially dissociated, not completely.
+        a = SpaceState.build(
+            {v: (1, 2 if v in (2, 7) else 1, 0) for v in range(9)},
+            [(0, 1, 2), (0, 2, 2), (0, 3, 1), (0, 4, 1), (0, 6, 1), (0, 8, 2), (1, 6, 1),
+             (3, 5, 2), (3, 7, 2), (4, 7, 2), (5, 8, 2), (6, 7, 2), (6, 8, 1)],
+        )
+        b = SpaceState.build(
+            {v: (1, 2 if v % 2 == 0 else 1, 0) for v in range(9)},
+            [(0, 1, 2), (0, 2, 1), (0, 4, 1), (0, 7, 2), (0, 8, 2), (1, 4, 2), (1, 6, 1),
+             (2, 3, 1), (2, 5, 2), (3, 5, 1), (3, 6, 1), (3, 7, 1), (6, 8, 1)],
+        )
+        assert max(a.n, b.n) > spacegraph.EXACT_SUBGRAPH_LIMIT
+        assert brute_force_assoc_kind(a, b, 4) is AssocKind.PARTIALLY_DISSOCIATED
+        res = classify_associability(a, b, 4)
+        assert res.kind is AssocKind.PARTIALLY_DISSOCIATED
+        assert res.overlap_fraction >= Fraction(4, 9)
+
+
+class TestFragmentSignatures:
+    def _by_combinations(self, state, k):
+        return {
+            b"f" + _induced(state, subset).canonical_key
+            for subset in reference_connected_subsets(state, k)
+        }
+
+    def test_fragments_equal_induced_connected_subsets_by_combinations(self, rng):
+        for _ in range(60):
+            state = random_space_state(rng, n_min=1, n_max=8, connected=rng.random() < 0.7)
+            for k in (1, 2, 3, 4):
+                sigs = spacegraph.fragment_signatures(state, k)
+                assert b"g" + state.gauge_key in sigs
+                assert sigs - {b"g" + state.gauge_key} == self._by_combinations(state, k)
+
+    def test_two_vertex_fragments_are_the_labeled_edges(self):
+        a = path_state([(1, 1, 0), (2, 1, 0), (1, 1, 0)], [1, 1])
+        edge = path_state([(2, 1, 0), (1, 1, 0)], [1])
+        assert spacegraph.fragment_signatures(a, 2) == {b"g" + a.gauge_key, b"f" + edge.canonical_key}
+
+    def test_limit_refused_before_enumerating(self, monkeypatch):
+        def fail(*_args):
+            raise AssertionError("enumerated past the limit")
+
+        monkeypatch.setattr(spacegraph, "_connected_subsets", fail)
+        with pytest.raises(spacegraph.FragmentLimitExceeded, match="40 vertices with k_min 20"):
+            spacegraph.fragment_signatures(uniform_path(40), 20)
+        with pytest.raises(spacegraph.FragmentLimitExceeded):
+            classify_associability(uniform_path(40), uniform_path(39), 20)
+
 
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, rng):
@@ -417,3 +471,28 @@ class TestProperties:
     def test_phase_from_radians_in_range(self, radians):
         p = Phase.from_radians(radians)
         assert 0 <= p.turns < 1
+
+
+@st.composite
+def connected_pairs(draw):
+    """Two random connected states of 3-10 vertices on species 1, matter in
+    {1, 2} and lengths in {1, 2}, and a k_min in 1..4."""
+
+    def state():
+        n = draw(st.integers(min_value=3, max_value=10))
+        fields = {v: (1, draw(st.sampled_from((1, 2))), 0) for v in range(n)}
+        edges = {(draw(st.integers(0, v - 1)), v): draw(st.sampled_from((1, 2))) for v in range(1, n)}
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (u, v) not in edges and draw(st.integers(0, 4)) == 0:
+                    edges[(u, v)] = draw(st.sampled_from((1, 2)))
+        return SpaceState.build(fields, [(u, v, w) for (u, v), w in edges.items()])
+
+    return state(), state(), draw(st.integers(min_value=1, max_value=4))
+
+
+@given(connected_pairs())
+@settings(max_examples=30, deadline=None)
+def test_verdict_agrees_with_brute_force_at_any_size(pair):
+    a, b, k_min = pair
+    assert classify_associability(a, b, k_min).kind is brute_force_assoc_kind(a, b, k_min)
