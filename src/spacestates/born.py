@@ -34,6 +34,10 @@ from .wavefunctional import DensitizedView, EntryKey
 
 MAX_DEPTH = 24
 
+# Sampler guide-table buckets and draws per chunk; both powers of two.
+GUIDE_BUCKETS = 1 << 16
+DRAW_CHUNK = 1 << 16
+
 
 class DepthExceeded(Exception):
     """Raised when a refinement deeper than MAX_DEPTH is requested."""
@@ -152,6 +156,36 @@ def count_estimate(refinement: Refinement, partition: MacroPartition, depth: int
     return CountReport(depth=depth, straddlers=straddlers, per_label=per_label)
 
 
+def _draw_counts(probs: np.ndarray, samples: int, seed: int) -> np.ndarray:
+    """Per-index counts of `samples` inverse-CDF draws from `probs`.
+
+    Each Philox draw d in [0, 1) picks index min(#{cum_j < d}, K-1), as one
+    `searchsorted` over all draws would (`reference.oneshot_draw_counts`),
+    but through a guide table over B = GUIDE_BUCKETS dyadic buckets (Chen &
+    Asau 1974). B is a power of two, so floor(d*B) is d's exact bucket b,
+    and when no cum_j lies in [b/B, (b+1)/B) every draw in b gets the index
+    #{cum_j < b/B}. Only draws in the at most K buckets that hold a cum_j
+    are searched. Draws come in chunks of C = DRAW_CHUNK, which Philox
+    yields bit for bit as one array would, so memory is O(B + C) for any
+    `samples`.
+    """
+    cum = np.cumsum(probs)
+    last = len(cum) - 1
+    below = np.searchsorted(cum, np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS, side="left")
+    start = np.minimum(below[:-1], last)
+    mixed = below[1:] > below[:-1]
+    rng = np.random.Generator(np.random.Philox(seed))
+    counts = np.zeros(len(cum), dtype=np.intp)
+    for done in range(0, samples, DRAW_CHUNK):
+        draws = rng.random(min(DRAW_CHUNK, samples - done))
+        bucket = (draws * GUIDE_BUCKETS).astype(np.intp)
+        idx = start[bucket]
+        hit = np.flatnonzero(mixed[bucket])
+        idx[hit] = np.minimum(np.searchsorted(cum, draws[hit], side="left"), last)
+        counts += np.bincount(idx, minlength=len(cum))
+    return counts
+
+
 def sample_selflocation(
     view: DensitizedView, partition: MacroPartition, samples: int, seed: int
 ) -> dict[str, float]:
@@ -159,7 +193,9 @@ def sample_selflocation(
     squared density and report empirical macro-label frequencies.
 
     Uses a counter-based generator, so results are reproducible for a
-    fixed seed.
+    fixed seed. Draws are counted in fixed chunks through an exact guide
+    table (`_draw_counts`), so memory does not grow with `samples` and the
+    counts equal those of one inverse-CDF search over all draws.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -167,11 +203,7 @@ def sample_selflocation(
     probs = np.array([view.entries[k][1] ** 2 for k in keys], dtype=float)
     probs /= probs.sum()
     labels = [partition.label_of(view.entries[k][0]) for k in keys]
-    rng = np.random.Generator(np.random.Philox(seed))
-    draws = rng.random(samples)
-    idx = np.searchsorted(np.cumsum(probs), draws, side="left")
-    idx = np.minimum(idx, len(keys) - 1)
-    counts = np.bincount(idx, minlength=len(keys))
+    counts = _draw_counts(probs, samples, seed)
     freqs: dict[str, float] = {}
     for lab, c in zip(labels, counts):
         freqs[lab] = freqs.get(lab, 0.0) + int(c) / samples

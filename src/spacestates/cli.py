@@ -439,8 +439,12 @@ def verify(
 
 def _env_overrides() -> dict:
     overrides = {}
-    if os.environ.get(ENV_PREFIX + "SEED"):
-        overrides["seed"] = int(os.environ[ENV_PREFIX + "SEED"])
+    seed = os.environ.get(ENV_PREFIX + "SEED")
+    if seed:
+        try:
+            overrides["seed"] = int(seed)
+        except ValueError:
+            raise ConfigError(f"{ENV_PREFIX}SEED must be an integer, got {seed!r}") from None
     if os.environ.get(ENV_PREFIX + "OUT"):
         overrides["out_dir"] = os.environ[ENV_PREFIX + "OUT"]
     return overrides
@@ -467,13 +471,12 @@ def main(argv: list[str] | None = None) -> int:
             )
     args = parser.parse_args(argv)
 
-    overrides = _env_overrides()
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-
     try:
+        overrides = _env_overrides()
+        if args.seed is not None:
+            overrides["seed"] = args.seed
+        if args.out is not None:
+            overrides["out_dir"] = args.out
         config = ExperimentConfig.from_file(args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -3,11 +3,12 @@
 These are deliberately independent of the canonical-labeling, subgraph
 search and counting machinery: isomorphism is decided by backtracking over
 vertex bijections on the raw structure, common subgraphs by enumerating
-connected induced vertex subsets, and refinement counts by materializing
-every dyadic cell. Branch components and irreversibility are decided pair by
-pair with the exact common-subgraph search, not through fragment
-signatures. The verification suite and the test oracles compare the fast
-paths against these.
+connected induced vertex subsets, refinement counts by materializing every
+dyadic cell, and sampler counts by one inverse-CDF search over all draws at
+once. Branch components and irreversibility are decided pair by pair with
+the exact common-subgraph search, not through fragment signatures. The
+verification suite and the test oracles compare the fast paths against
+these.
 """
 
 from __future__ import annotations
@@ -310,3 +311,14 @@ def bisection_refinement(
             next_level.append(right)
         levels.append(next_level)
     return BisectionRefinement(depth_max, scale, levels, states)
+
+
+def oneshot_draw_counts(probs: np.ndarray, samples: int, seed: int) -> np.ndarray:
+    """Per-index counts of `samples` Philox draws from `probs`, all drawn at
+    once and located by one `searchsorted` of the whole array, clamped to
+    the last index; 8 bytes per sample."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    draws = rng.random(samples)
+    idx = np.searchsorted(np.cumsum(probs), draws, side="left")
+    idx = np.minimum(idx, len(probs) - 1)
+    return np.bincount(idx, minlength=len(probs))

@@ -724,7 +724,7 @@ def ssg1_loads(text: str, first_line: int = 1) -> SpaceState:
     counting the first line of `text` as line `first_line`."""
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), first_line) if ln.strip()]
     if not lines or lines[0][1].strip() != "SSG1":
-        raise ValueError("missing SSG1 header")
+        raise ValueError(f"missing SSG1 header on line {lines[0][0] if lines else first_line}")
     fields: dict[int, VertexField] = {}
     edges: list[tuple[int, int, Fraction]] = []
     edge_at: list[str] = []

@@ -231,13 +231,17 @@ def wfn1_dumps(psi: Wavefunctional) -> str:
 
 
 def wfn1_loads(text: str) -> Wavefunctional:
+    """Parse WFN1 text. Every error names the 1-based line at fault."""
     from .spacegraph import ssg1_loads
 
     lines = text.splitlines()
     if not lines or not lines[0].startswith("WFN1"):
-        raise ValueError("missing WFN1 header")
-    header = dict(part.split("=") for part in lines[0].split()[1:])
-    epoch = int(header.get("epoch", 0))
+        raise ValueError("missing WFN1 header on line 1")
+    try:
+        header = dict(part.split("=") for part in lines[0].split()[1:])
+        epoch = int(header.get("epoch", 0))
+    except ValueError:
+        raise ValueError(f"bad WFN1 header on line 1: {lines[0]!r}") from None
     pairs = []
     i = 1
     while i < len(lines):
@@ -245,10 +249,15 @@ def wfn1_loads(text: str) -> Wavefunctional:
             i += 1
             continue
         parts = lines[i].split()
-        if parts[0] != "entry" or len(parts) != 5:
-            raise ValueError(f"bad WFN1 record on line {i + 1}: {lines[i]!r}")
-        bits = () if parts[2] == "-" else tuple(int(c) for c in parts[2])
-        amp = complex(float(parts[3]), float(parts[4]))
+        try:
+            if parts[0] != "entry" or len(parts) != 5:
+                raise ValueError("not an 'entry' record")
+            if parts[2] != "-" and set(parts[2]) - {"0", "1"}:
+                raise ValueError("cell bits must be 0s and 1s, or '-'")
+            bits = () if parts[2] == "-" else tuple(int(c) for c in parts[2])
+            amp = complex(float(parts[3]), float(parts[4]))
+        except ValueError as exc:
+            raise ValueError(f"bad WFN1 record on line {i + 1}: {lines[i]!r} ({exc})") from None
         block = []
         i += 1
         first = i

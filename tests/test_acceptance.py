@@ -42,10 +42,11 @@ from spacestates import (
     verify_projector_algebra,
     vertex_count_partition,
 )
+from spacestates import born
 from spacestates.branching import asymmetry_experiment
 from spacestates.cli import ExperimentConfig, run
 from spacestates.corpus import random_relabeling, random_space_state, random_wavefunctional
-from spacestates.reference import brute_force_assoc_kind
+from spacestates.reference import brute_force_assoc_kind, oneshot_draw_counts
 
 from conftest import path_state, uniform_path
 
@@ -225,7 +226,7 @@ def test_criterion_07_projector_algebra():
     report("criterion-7 projector-algebra", "3 partitions x 500 states")
 
 
-def test_criterion_08_selflocation_sampling():
+def test_criterion_08_selflocation_sampling(monkeypatch):
     part = vertex_count_partition(1)
     a, b = uniform_path(2), uniform_path(3)
     view = gauge_absorb(normalize(Wavefunctional.from_states([(a, 0.8), (b, 0.6)])))
@@ -245,6 +246,12 @@ def test_criterion_08_selflocation_sampling():
     )
     threshold = stats.chi2.ppf(1 - 1e-3, df=3)
     assert chi2 < threshold
+
+    # The streamed guide-table counts give the very frequencies of one
+    # searchsorted over all draws at once.
+    monkeypatch.setattr(born, "_draw_counts", oneshot_draw_counts)
+    assert sample_selflocation(view, part, 10**6, seed=808) == freqs
+    assert sample_selflocation(view4, part, samples, seed=4808) == freqs4
     report("criterion-8 selflocation-sampling", f"chi2 {chi2:.2f} < {threshold:.2f}")
 
 

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from spacestates import (
@@ -14,8 +18,9 @@ from spacestates import (
     sample_selflocation,
     vertex_count_partition,
 )
+from spacestates.born import DRAW_CHUNK, _draw_counts
 from spacestates.corpus import random_wavefunctional
-from spacestates.reference import bisection_refinement
+from spacestates.reference import bisection_refinement, oneshot_draw_counts
 
 from conftest import uniform_path
 
@@ -218,3 +223,68 @@ class TestSampler:
             for lab in weights
         )
         assert chi2 < stats.chi2.ppf(1 - 1e-3, df=3)
+
+
+def assert_counts_match_oneshot(probs, samples, seed):
+    counts = _draw_counts(probs, samples, seed)
+    assert np.array_equal(counts, oneshot_draw_counts(probs, samples, seed))
+    assert counts.sum() == samples
+
+
+class TestDrawCountsAgainstOneShot:
+    """Guide-table counts over chunked draws equal one `searchsorted` over
+    all draws at once, index for index."""
+
+    def test_equal_weights_put_cum_on_bucket_edges(self):
+        assert_counts_match_oneshot(np.full(16, 1 / 16), 3 * DRAW_CHUNK + 7, seed=16)
+
+    @pytest.mark.parametrize("gap", [2.0**-8, 2.0**-17])
+    def test_total_below_one_clamps_to_last_index(self, gap):
+        # cum = (1/2, 1 - 2 gap, 1 - gap). Draws above cum[-1] search past
+        # the end and are clamped: from unmixed buckets (2^-8), or inside
+        # the last bucket, which holds both cum[1] and cum[-1] (2^-17).
+        probs = np.array([0.5, 0.5 - 2 * gap, gap])
+        samples, seed = 3 * DRAW_CHUNK + 7, 4
+        draws = np.random.Generator(np.random.Philox(seed)).random(samples)
+        assert np.count_nonzero(draws >= np.cumsum(probs)[-1]) > 0
+        assert_counts_match_oneshot(probs, samples, seed)
+
+    def test_single_entry(self):
+        assert_counts_match_oneshot(np.array([1.0]), 3 * DRAW_CHUNK + 7, seed=1)
+
+    @pytest.mark.parametrize(
+        "samples", [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 3 * DRAW_CHUNK + 7]
+    )
+    def test_sample_counts_around_the_chunk_size(self, samples):
+        amps = np.random.default_rng(96).random(96)
+        assert_counts_match_oneshot(amps**2 / (amps**2).sum(), samples, seed=samples)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        amps=st.lists(st.floats(0, 1), min_size=1, max_size=300),
+        samples=st.integers(1, 2 * DRAW_CHUNK + 3),
+        seed=st.integers(0, 2**32),
+    )
+    def test_random_weight_vectors(self, amps, samples, seed):
+        # Zero and subnormal amplitudes repeat cum values and empty buckets.
+        sq = np.array(amps) ** 2
+        assume(sq.sum() > 0)
+        assert_counts_match_oneshot(sq / sq.sum(), samples, seed)
+
+
+def test_sampler_memory_does_not_grow_with_samples():
+    states = [uniform_path(n) for n in (2, 3, 4, 5)]
+    view = view_of(list(zip(states, [0.7, 0.5, 0.4, math.sqrt(0.1)])))
+    part = vertex_count_partition(1)
+
+    def traced_peak(samples):
+        tracemalloc.start()
+        try:
+            sample_selflocation(view, part, samples, seed=8)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = traced_peak(200_000), traced_peak(2_000_000)
+    assert large < 8 * 2**20
+    assert abs(large - small) < 2**20

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spacestates import wfn1_loads
+from spacestates import Wavefunctional, wfn1_loads
 from spacestates.cli import ConfigError, ExperimentConfig, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -235,6 +236,12 @@ class TestRun:
         assert invoke("run", str(path), "--out", str(tmp_path / "flag"), "--seed", "123") == 0
         assert hashes(tmp_path / "env") == hashes(tmp_path / "flag")
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_non_integer_env_seed_exits_1(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setenv("SPACESTATES_SEED", "x")
+        assert invoke(command, str(write_config(tmp_path))) == 1
+        assert "SPACESTATES_SEED" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_default_config_passes_all_checks(self, tmp_path, capsys):
@@ -406,3 +413,23 @@ def test_mutated_reference_config_ends_in_documented_exit_code(tmp_path_factory,
     path = tmp_path / "mutant.json"
     path.write_text(text)
     assert invoke("run", str(path), "--out", str(tmp_path / "out")) in (0, 1, 2, 3, 4)
+
+
+# The same for WFN1 state dumps: every mutant of the reference config's
+# evolved state either loads or is refused with a ValueError that names the
+# line at fault.
+@pytest.fixture(scope="module")
+def reference_final_state_lines(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("wfn1")
+    assert invoke("run", str(reference_config(tmp_path))) == 0
+    return (tmp_path / "out" / "final_state.wfn").read_text().splitlines()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_reference_final_state_loads_or_names_line(reference_final_state_lines, data):
+    text = mutate_lines(data.draw, reference_final_state_lines)
+    try:
+        assert isinstance(wfn1_loads(text), Wavefunctional)
+    except ValueError as exc:
+        assert re.search(r"line \d+", str(exc)), exc

@@ -294,3 +294,9 @@ class TestDump:
     def test_header_required(self):
         with pytest.raises(ValueError, match="WFN1"):
             wfn1_loads("entry 00 - 1.0 0.0\n")
+
+    def test_cell_digit_other_than_bit_names_the_line(self):
+        psi = Wavefunctional.from_states([(uniform_path(2).with_cell_index((1, 0, 1)), 1.0)])
+        text = wfn1_dumps(psi).replace(" 101 ", " 121 ")
+        with pytest.raises(ValueError, match="line 2: .*cell bits"):
+            wfn1_loads(text)
