@@ -5,9 +5,10 @@ rejected). Identical config and seed produce byte-identical artifacts: all
 floats are serialized as shortest round-trip decimals, every collection is
 emitted in sorted order, and no timestamps enter any file.
 
-Exit codes: 0 ok, 1 config error (including a k_min whose fragment count on
-the expanded basis exceeds `spacegraph.FRAGMENT_LIMIT`), 2 rule file error,
-3 truncation refused, 4 numerical failure, 5 verification failure.
+Exit codes: 0 ok, 1 config error (including `max_dim`, `epochs` or `steps`
+above its limit, and a k_min whose fragment count on the expanded basis
+exceeds `spacegraph.FRAGMENT_LIMIT`), 2 rule file error, 3 truncation
+refused, 4 numerical failure, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -39,8 +40,14 @@ from .dynamics import (
     rul1_loads,
 )
 from .macrostates import MacroPartition, builtin_classifiers, partition_by_name, verify_projector_algebra
-from .reference import bisection_refinement, brute_force_assoc_kind
-from .spacegraph import FragmentLimitExceeded, check_fragment_count, classify_associability, ssg1_loads
+from .reference import bisection_refinement, brute_force_assoc_kind, brute_force_common_subgraph_size
+from .spacegraph import (
+    AssocKind,
+    FragmentLimitExceeded,
+    check_fragment_count,
+    classify_associability,
+    ssg1_loads,
+)
 from .wavefunctional import (
     Wavefunctional,
     gauge_absorb,
@@ -53,6 +60,13 @@ from .wavefunctional import (
 
 ENV_PREFIX = "SPACESTATES_"
 NORM_DRIFT_LIMIT = 1e-8
+
+# Upper bounds on the sizes a config may ask for, so that every accepted
+# config runs in bounded time and memory: a dense complex generator at
+# MAX_DIM_LIMIT takes 64 MiB.
+MAX_DIM_LIMIT = 2048
+EPOCHS_LIMIT = 1000
+STEPS_LIMIT = 1000
 
 
 class ConfigError(Exception):
@@ -165,12 +179,12 @@ class ExperimentConfig:
         checks = [
             (self.k_min >= 1, "k_min must be >= 1"),
             (math.isfinite(self.dt) and self.dt != 0, "dt must be finite and nonzero"),
-            (self.steps >= 1, "steps must be >= 1"),
-            (self.epochs >= 0, "epochs must be >= 0"),
+            (1 <= self.steps <= STEPS_LIMIT, f"steps must be in [1, {STEPS_LIMIT}]"),
+            (0 <= self.epochs <= EPOCHS_LIMIT, f"epochs must be in [0, {EPOCHS_LIMIT}]"),
             (0 <= self.depth_max <= 24, "depth_max must be in [0, 24]"),
             (self.samples >= 1, "samples must be >= 1"),
             (self.seed >= 0, "seed must be >= 0"),
-            (self.max_dim >= 1, "max_dim must be >= 1"),
+            (1 <= self.max_dim <= MAX_DIM_LIMIT, f"max_dim must be in [1, {MAX_DIM_LIMIT}]"),
             (self.horizon >= 0, "horizon must be >= 0"),
             (self.verify_corpus >= 0, "verify_corpus must be >= 0"),
         ]
@@ -415,18 +429,21 @@ def verify(
     if not corpus:
         record("oracle-equivalence", "SKIP", "empty corpus")
     else:
+        # Kinds on every pair; overlaps (fraction times the smaller vertex
+        # count) on every pair that is not globally associable.
         pairs = min(len(corpus) // 2, 40)
-        sample = [(corpus[2 * i], corpus[2 * i + 1]) for i in range(pairs)]
-        results = [
-            classify_associability(a, b, config.k_min).kind
-            is brute_force_assoc_kind(a, b, config.k_min)
-            for a, b in sample
-        ]
-        bad = results.count(False)
+        overlaps = bad_kinds = bad_overlaps = 0
+        for a, b in zip(corpus[0 : 2 * pairs : 2], corpus[1 : 2 * pairs : 2]):
+            res = classify_associability(a, b, config.k_min)
+            bad_kinds += res.kind is not brute_force_assoc_kind(a, b, config.k_min)
+            if res.kind is not AssocKind.GLOBALLY_ASSOCIABLE:
+                overlaps += 1
+                size = res.overlap_fraction * min(a.n, b.n)
+                bad_overlaps += size != brute_force_common_subgraph_size(a, b)
         record(
             "oracle-equivalence",
-            "PASS" if bad == 0 else "FAIL",
-            f"{len(results) - bad}/{len(results)} agree",
+            "PASS" if bad_kinds == bad_overlaps == 0 else "FAIL",
+            f"{pairs - bad_kinds}/{pairs} kinds agree, {overlaps - bad_overlaps}/{overlaps} overlaps agree",
         )
 
     return lines, ok

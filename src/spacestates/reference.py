@@ -1,14 +1,13 @@
 """Slow brute-force reference implementations.
 
-These are deliberately independent of the canonical-labeling, subgraph
-search and counting machinery: isomorphism is decided by backtracking over
+These are deliberately independent of the canonical-labeling, fragment
+signature and counting machinery: isomorphism is decided by backtracking over
 vertex bijections on the raw structure, common subgraphs by enumerating
 connected induced vertex subsets, refinement counts by materializing every
 dyadic cell, and sampler counts by one inverse-CDF search over all draws at
 once. Branch components and irreversibility are decided pair by pair with
-the exact common-subgraph search, not through fragment signatures. The
-verification suite and the test oracles compare the fast paths against
-these.
+these brute-force tests, not through fragment signatures. The verification
+suite and the test oracles compare the fast paths against these.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from .branching import BranchTree, _descendants_at
 from .macrostates import MacroPartition
-from .spacegraph import AssocKind, SpaceState, common_subgraph_size, gauge_equivalent
+from .spacegraph import AssocKind, SpaceState
 from .wavefunctional import DensitizedView, EntryKey
 
 
@@ -147,13 +146,14 @@ _PAIR_CACHE: dict[tuple[bytes, bytes], tuple[bool, int]] = {}
 
 
 def pairwise_associable(a: SpaceState, b: SpaceState, k_min: int) -> bool:
-    """Not completely dissociated, by the exact common-subgraph search at any
-    size (memoized per pair of canonical keys, for every k_min at once)."""
+    """Not completely dissociated, by the brute-force global associability
+    test and common-subgraph enumeration (memoized per pair of canonical
+    keys, for every k_min at once)."""
     ka, kb = sorted((a.canonical_key, b.canonical_key))
     hit = _PAIR_CACHE.get((ka, kb))
     if hit is None:
-        size, _exact = common_subgraph_size(a, b, exact_limit=max(a.n, b.n))
-        hit = _PAIR_CACHE[(ka, kb)] = (gauge_equivalent(a, b), size)
+        hit = (brute_force_globally_associable(a, b), brute_force_common_subgraph_size(a, b))
+        _PAIR_CACHE[(ka, kb)] = hit
     return hit[0] or hit[1] >= k_min
 
 

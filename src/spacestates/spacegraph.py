@@ -21,15 +21,9 @@ TWO_PI = 2.0 * math.pi
 # Species tag 0 is the neutral species; any other tag carries U(1) charge.
 NEUTRAL_SPECIES = 0
 
-# Exact maximum-common-subgraph search is used up to this many vertices on
-# the larger graph; beyond it a greedy seed-and-extend lower bound is used.
-# Only the overlap fraction comes from this search; the dissociation verdict
-# is exact at any size (see `fragment_signatures`).
-EXACT_SUBGRAPH_LIMIT = 8
-
-# `fragment_signatures` refuses a state whose C(n, k_min) candidate vertex
-# subsets exceed this, before enumerating any; a state of at most 8 vertices
-# has at most C(8, 4) = 70.
+# `fragment_signatures` and `common_subgraph_size` refuse a state whose
+# C(n, k) candidate k-vertex subsets exceed this, before enumerating any; no
+# state of at most 14 vertices reaches it (C(14, 7) = 3432).
 FRAGMENT_LIMIT = 5000
 
 
@@ -458,7 +452,6 @@ class AssocKind(Enum):
 class Associability:
     kind: AssocKind
     overlap_fraction: Fraction
-    overlap_exact: bool = True
 
     @property
     def interference_weight(self) -> float:
@@ -471,114 +464,6 @@ class Associability:
         return float(self.overlap_fraction)
 
 
-def _vertex_labels(state: SpaceState) -> dict[int, tuple]:
-    return {v: state.fields.get(v).label() for v in state.geometry.vertices}
-
-
-def common_subgraph_size(a: SpaceState, b: SpaceState, exact_limit: int = EXACT_SUBGRAPH_LIMIT) -> tuple[int, bool]:
-    """Size of the largest common connected induced labeled subgraph.
-
-    Exact up to `exact_limit` vertices on the larger graph; above that a
-    greedy seed-and-extend search returns a lower bound (flagged False).
-    """
-    la, lb = _vertex_labels(a), _vertex_labels(b)
-    adj_a, adj_b = a.geometry.adjacency(), b.geometry.adjacency()
-    compat = {
-        v: tuple(w for w in b.geometry.vertices if lb[w] == la[v]) for v in a.geometry.vertices
-    }
-    if all(len(ws) == 0 for ws in compat.values()):
-        return 0, True
-    if max(a.n, b.n) <= exact_limit:
-        return _exact_mcs(a, b, la, lb, adj_a, adj_b, compat), True
-    size = _greedy_mcs(a, b, adj_a, adj_b, compat)
-    return size, size >= min(a.n, b.n)
-
-
-def _consistent(adj_a, adj_b, mapping: dict[int, int], v: int, w: int) -> bool:
-    for g, h in mapping.items():
-        if adj_a[v].get(g) != adj_b[w].get(h):
-            return False
-    return True
-
-
-def _exact_mcs(a, b, la, lb, adj_a, adj_b, compat) -> int:
-    verts_a = a.geometry.vertices
-    best = 0
-
-    def class_bound(unused_a: set[int], used_b: set[int]) -> int:
-        counts_a: dict[tuple, int] = {}
-        counts_b: dict[tuple, int] = {}
-        for v in unused_a:
-            counts_a[la[v]] = counts_a.get(la[v], 0) + 1
-        for w in b.geometry.vertices:
-            if w not in used_b:
-                counts_b[lb[w]] = counts_b.get(lb[w], 0) + 1
-        return sum(min(c, counts_b.get(lab, 0)) for lab, c in counts_a.items())
-
-    def extend(mapping: dict[int, int], used_b: set[int], banned: set[int]):
-        nonlocal best
-        if len(mapping) > best:
-            best = len(mapping)
-        frontier = sorted(
-            v
-            for v in verts_a
-            if v not in mapping
-            and v not in banned
-            and any(g in mapping for g in adj_a[v])
-        )
-        if not frontier:
-            return
-        usable = {v for v in verts_a if v not in mapping and v not in banned}
-        if len(mapping) + class_bound(usable, used_b) <= best:
-            return
-        v = frontier[0]
-        for w in compat[v]:
-            if w in used_b:
-                continue
-            if _consistent(adj_a, adj_b, mapping, v, w):
-                mapping[v] = w
-                used_b.add(w)
-                extend(mapping, used_b, banned)
-                used_b.discard(w)
-                del mapping[v]
-        banned.add(v)
-        extend(mapping, used_b, banned)
-        banned.discard(v)
-
-    for i, v in enumerate(verts_a):
-        # Every connected subgraph has a minimal seed vertex; ban the earlier
-        # ones to avoid revisiting the same subgraphs from multiple seeds.
-        banned = set(verts_a[:i])
-        for w in compat[v]:
-            extend({v: w}, {w}, banned)
-    return best
-
-
-def _greedy_mcs(a, b, adj_a, adj_b, compat) -> int:
-    best = 0
-    for v0 in a.geometry.vertices:
-        for w0 in compat[v0]:
-            mapping = {v0: w0}
-            used_b = {w0}
-            while True:
-                grown = False
-                for v in sorted(a.geometry.vertices):
-                    if v in mapping or not any(g in mapping for g in adj_a[v]):
-                        continue
-                    for w in compat[v]:
-                        if w not in used_b and _consistent(adj_a, adj_b, mapping, v, w):
-                            mapping[v] = w
-                            used_b.add(w)
-                            grown = True
-                            break
-                    if grown:
-                        break
-                if not grown:
-                    break
-            best = max(best, len(mapping))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Fragment signatures. Every connected graph on at least k vertices has a
 # connected induced subgraph on exactly k vertices (drop a leaf of a spanning
@@ -586,20 +471,23 @@ def _greedy_mcs(a, b, adj_a, adj_b, compat) -> int:
 # is common again. So two states share a connected induced labeled subgraph
 # of at least k_min vertices exactly when they share a connected induced
 # k_min-vertex fragment, and they are not completely dissociated exactly when
-# their signature sets (gauge key plus fragment keys) intersect.
+# their signature sets (gauge key plus fragment keys) intersect. For the same
+# reason the sizes k at which two states share a fragment run 1, 2, ..., K
+# without a gap, and K is their largest common connected induced subgraph.
 # ---------------------------------------------------------------------------
 
 
 class FragmentLimitExceeded(ValueError):
-    """Raised when a state has too many candidate k_min-vertex fragments."""
+    """Raised when a state has too many candidate k-vertex fragments."""
 
 
-def check_fragment_count(n: int, k_min: int) -> None:
-    """Raise FragmentLimitExceeded when C(n, k_min) exceeds FRAGMENT_LIMIT."""
-    count = math.comb(n, k_min)
+def check_fragment_count(n: int, k: int, name: str = "k_min") -> None:
+    """Raise FragmentLimitExceeded when C(n, k) exceeds FRAGMENT_LIMIT; the
+    message calls the fragment size `name`."""
+    count = math.comb(n, k)
     if count > FRAGMENT_LIMIT:
         raise FragmentLimitExceeded(
-            f"a state of {n} vertices with k_min {k_min} has C({n}, {k_min}) = {count} "
+            f"a state of {n} vertices with {name} {k} has C({n}, {k}) = {count} "
             f"candidate fragments, above the limit of {FRAGMENT_LIMIT}"
         )
 
@@ -661,29 +549,42 @@ def fragment_signatures(state: SpaceState, k_min: int) -> frozenset[bytes]:
     return cached
 
 
+def common_subgraph_size(a: SpaceState, b: SpaceState) -> int:
+    """Size of the largest common connected induced labeled subgraph: the
+    largest k at which the two states share a fragment (tagged b"f"; the
+    gauge keys do not count). Exact at any size; raises
+    FragmentLimitExceeded, naming the fragment size, when a size the scan
+    reaches has more than FRAGMENT_LIMIT candidate fragments."""
+    size = 0
+    for k in range(1, min(a.n, b.n) + 1):
+        check_fragment_count(max(a.n, b.n), k, "fragment size")
+        shared = fragment_signatures(a, k) & fragment_signatures(b, k)
+        if not any(sig.startswith(b"f") for sig in shared):
+            break
+        size = k
+    return size
+
+
 def classify_associability(a: SpaceState, b: SpaceState, k_min: int = 2) -> Associability:
     """Classify how two space-states can be matched.
 
     Globally associable means isomorphic up to a global U(1) phase offset on
     the charged vertices; partially dissociated means a shared connected
     region of at least k_min vertices exists; completely dissociated
-    otherwise. Cell indices never enter the classification. The verdict is
-    exact at any size: it is read off shared fragment signatures. The
-    overlap fraction comes from `common_subgraph_size` (a lower bound above
-    EXACT_SUBGRAPH_LIMIT, flagged by overlap_exact), floored at k_min/min_n
-    when a fragment is shared.
+    otherwise. Cell indices never enter the classification. Both the
+    verdict and the overlap fraction, `common_subgraph_size` over the
+    smaller vertex count, are exact at any size: they are read off shared
+    fragment signatures.
     """
     if k_min < 1:
         raise ValueError("k_min must be >= 1")
     if gauge_equivalent(a, b):
         return Associability(AssocKind.GLOBALLY_ASSOCIABLE, Fraction(1))
-    shared = not fragment_signatures(a, k_min).isdisjoint(fragment_signatures(b, k_min))
-    size, exact = common_subgraph_size(a, b)
-    min_n = min(a.n, b.n)
-    if shared:
-        size = max(size, k_min)
-        return Associability(AssocKind.PARTIALLY_DISSOCIATED, Fraction(size, min_n), exact or size == min_n)
-    return Associability(AssocKind.COMPLETELY_DISSOCIATED, Fraction(size, min_n), exact)
+    if fragment_signatures(a, k_min).isdisjoint(fragment_signatures(b, k_min)):
+        kind = AssocKind.COMPLETELY_DISSOCIATED
+    else:
+        kind = AssocKind.PARTIALLY_DISSOCIATED
+    return Associability(kind, Fraction(common_subgraph_size(a, b), min(a.n, b.n)))
 
 
 _ASSOC_CACHE: dict[tuple, Associability] = {}

@@ -212,7 +212,9 @@ def restricted_sq_norm(view: DensitizedView, partition: MacroPartition, alpha: s
 
 # ---------------------------------------------------------------------------
 # WFN1: versioned state dump. One record per entry: canonical key (hex), cell
-# bits, amplitude as decimal strings, then the SSG1 block of the state.
+# bits, amplitude as decimal strings, then the SSG1 block of the state. The
+# loader checks every key against its state and the header's entry count
+# against the records, so a corrupted or truncated dump is refused.
 # ---------------------------------------------------------------------------
 
 
@@ -240,7 +242,8 @@ def wfn1_loads(text: str) -> Wavefunctional:
     try:
         header = dict(part.split("=") for part in lines[0].split()[1:])
         epoch = int(header.get("epoch", 0))
-    except ValueError:
+        count = int(header["entries"])
+    except (KeyError, ValueError):
         raise ValueError(f"bad WFN1 header on line 1: {lines[0]!r}") from None
     pairs = []
     i = 1
@@ -249,6 +252,7 @@ def wfn1_loads(text: str) -> Wavefunctional:
             i += 1
             continue
         parts = lines[i].split()
+        at = i + 1
         try:
             if parts[0] != "entry" or len(parts) != 5:
                 raise ValueError("not an 'entry' record")
@@ -257,7 +261,7 @@ def wfn1_loads(text: str) -> Wavefunctional:
             bits = () if parts[2] == "-" else tuple(int(c) for c in parts[2])
             amp = complex(float(parts[3]), float(parts[4]))
         except ValueError as exc:
-            raise ValueError(f"bad WFN1 record on line {i + 1}: {lines[i]!r} ({exc})") from None
+            raise ValueError(f"bad WFN1 record on line {at}: {lines[i]!r} ({exc})") from None
         block = []
         i += 1
         first = i
@@ -266,5 +270,10 @@ def wfn1_loads(text: str) -> Wavefunctional:
             i += 1
         i += 1
         state = ssg1_loads("\n".join(block), first_line=first + 1).with_cell_index(bits)
+        # The key is labeled here once and reused by `from_states`.
+        if state.canonical_key.hex() != parts[1]:
+            raise ValueError(f"WFN1 entry key on line {at} does not match its state's canonical key")
         pairs.append((state, amp))
+    if len(pairs) != count:
+        raise ValueError(f"WFN1 header on line 1 says entries={count}, but {len(pairs)} entries follow")
     return Wavefunctional.from_states(pairs, epoch=epoch)

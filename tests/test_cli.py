@@ -62,7 +62,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="rules_file"):
             ExperimentConfig.from_file(str(path))
 
-    def test_bad_types_and_ranges(self, tmp_path):
+    def test_bad_types_and_ranges(self, tmp_path, capsys):
         for bad in (
             {"k_min": 0},
             {"dt": 0},
@@ -72,9 +72,14 @@ class TestConfigParsing:
             {"epochs": -1},
             {"partition": {"name": "no_such_partition"}},
             {"partition": {"name": "vertex_count", "extra": 1}},
+            {"max_dim": 2049},
+            {"epochs": 1001},
+            {"steps": 1001},
         ):
             path = write_config(tmp_path, **bad)
             assert invoke("run", str(path)) == 1, bad
+            assert next(iter(bad)) in capsys.readouterr().err, bad
+            assert not (tmp_path / "out").exists(), bad
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -252,7 +257,9 @@ class TestVerify:
         assert "PASS unitarity" in out
         assert "PASS gauge-roundtrip" in out
         assert "PASS refinement-weights" in out
-        assert "PASS oracle-equivalence" in out
+        assert "PASS oracle-equivalence: 30/30 kinds agree" in out
+        overlaps = re.search(r"kinds agree, (\d+)/(\d+) overlaps agree", out)
+        assert overlaps and overlaps[1] == overlaps[2] != "0"
         assert "FAIL" not in out
 
     def test_injected_norm_fault_fails_unitarity(self, tmp_path, capsys):
@@ -375,11 +382,11 @@ def test_mutated_reference_initial_state_ends_in_documented_exit_code(tmp_path_f
 
 
 # JSON values for config fuzzing: wrong types, out-of-range and boundary
-# numbers, a bad partition and a missing file. Sizes stay small: the
-# validator sets no upper bound on epochs, steps, max_dim or samples, so a
-# huge value there asks for unbounded work rather than a wrong exit code.
+# numbers, a bad partition and a missing file. 2049 is above the validator's
+# limits on max_dim, epochs and steps; no larger integer is drawn, since
+# `samples` has no upper bound and a huge value there costs time.
 CONFIG_VALUES = (
-    "", "x", "missing.rul", -1, 0, 1, 2, -0.5, 0.5, 1e308, float("nan"), True, False, None, [], {},
+    "", "x", "missing.rul", -1, 0, 1, 2, 2049, -0.5, 0.5, 1e308, float("nan"), True, False, None, [], {},
     {"name": "x"}, {"name": "vertex_count"}, {"name": "vertex_count", "params": {"width": 0}},
     {"name": "vertex_count", "params": {"width": "x"}, "extra": 1},
 )

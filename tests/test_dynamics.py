@@ -31,7 +31,7 @@ from spacestates import (
 from spacestates import dynamics
 from spacestates.corpus import random_space_state
 
-from conftest import count_rule_applications, path_state, uniform_path
+from conftest import count_rule_applications, nine_vertex_pair, path_state, uniform_path
 
 
 def rabi_pair():
@@ -497,29 +497,35 @@ class TestInterference:
         assert abs(full - masked) <= 1e-14
 
     def test_partial_pair_lies_between_diagonal_and_full(self, rng):
-        # Two 4-vertex states sharing a labeled 2-path arm.
-        a = SpaceState.build(
-            {0: (1, 1, 0), 1: (2, 1, 0), 2: (5, 1, 0), 3: (5, 2, 0)},
-            [(0, 1, 1), (1, 2, 1), (2, 3, 1)],
-        )
-        b = SpaceState.build(
-            {0: (1, 1, 0), 1: (2, 1, 0), 2: (6, 1, 0), 3: (6, 2, 0)},
-            [(0, 1, 1), (1, 2, 2), (2, 3, 2)],
+        # Two 4-vertex states sharing a labeled 2-path arm, and two 9-vertex
+        # states sharing a 4-vertex region.
+        arm_pair = (
+            SpaceState.build(
+                {0: (1, 1, 0), 1: (2, 1, 0), 2: (5, 1, 0), 3: (5, 2, 0)},
+                [(0, 1, 1), (1, 2, 1), (2, 3, 1)],
+            ),
+            SpaceState.build(
+                {0: (1, 1, 0), 1: (2, 1, 0), 2: (6, 1, 0), 3: (6, 2, 0)},
+                [(0, 1, 1), (1, 2, 2), (2, 3, 2)],
+            ),
         )
         from spacestates import classify_associability, AssocKind
+        from spacestates.reference import brute_force_common_subgraph_size
 
-        res = classify_associability(a, b, 2)
-        assert res.kind is AssocKind.PARTIALLY_DISSOCIATED
-        weight = float(res.overlap_fraction)
-        obs = self._observable([a, b], {(0, 1): 0.4})
-        psi = normalize(Wavefunctional.from_states([(a, 0.8), (b, 0.6)]))
-        full, masked = interference_term(psi, obs, k_min=2)
-        diagonal = 0.64 * 1.0 + 0.36 * 2.0
-        # Direct recomputation with the classified weight.
-        cross = 2 * 0.8 * 0.6 * 0.4
-        assert full == pytest.approx(diagonal + cross, abs=1e-14)
-        assert masked == pytest.approx(diagonal + weight * cross, abs=1e-14)
-        assert min(diagonal, full) <= masked <= max(diagonal, full)
+        for a, b in (arm_pair, nine_vertex_pair()):
+            res = classify_associability(a, b, 2)
+            assert res.kind is AssocKind.PARTIALLY_DISSOCIATED
+            assert res.overlap_fraction == Fraction(brute_force_common_subgraph_size(a, b), min(a.n, b.n))
+            weight = float(res.overlap_fraction)
+            obs = self._observable([a, b], {(0, 1): 0.4})
+            psi = normalize(Wavefunctional.from_states([(a, 0.8), (b, 0.6)]))
+            full, masked = interference_term(psi, obs, k_min=2)
+            diagonal = 0.64 * 1.0 + 0.36 * 2.0
+            # Direct recomputation with the classified weight.
+            cross = 2 * 0.8 * 0.6 * 0.4
+            assert full == pytest.approx(diagonal + cross, abs=1e-14)
+            assert masked == pytest.approx(diagonal + weight * cross, abs=1e-14)
+            assert min(diagonal, full) <= masked <= max(diagonal, full)
 
 
 class TestRuleFiles:

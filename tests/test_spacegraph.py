@@ -35,7 +35,7 @@ from spacestates.reference import (
     brute_force_isomorphic,
 )
 
-from conftest import path_state, uniform_path
+from conftest import nine_vertex_pair, path_state, uniform_path
 
 
 class TestSpaceGraphValidation:
@@ -323,18 +323,22 @@ class TestAssociability:
             fast = classify_associability(a, b, 2)
             assert fast.kind is brute_force_assoc_kind(a, b, 2)
             if fast.kind is not AssocKind.GLOBALLY_ASSOCIABLE:
-                size, exact = common_subgraph_size(a, b)
-                assert exact
-                assert size == brute_force_common_subgraph_size(a, b)
+                assert common_subgraph_size(a, b) == brute_force_common_subgraph_size(a, b)
 
-    def test_greedy_fallback_reports_lower_bound(self, rng):
-        a = uniform_path(12)
-        b = uniform_path(10)
-        size, exact = common_subgraph_size(a, b)
-        assert size <= 10
-        assert size >= 2
-        res = classify_associability(a, b, 2)
-        assert res.kind in (AssocKind.PARTIALLY_DISSOCIATED, AssocKind.GLOBALLY_ASSOCIABLE)
+    def test_long_path_overlap_is_exact_up_to_fragment_limit(self):
+        assert common_subgraph_size(uniform_path(12), uniform_path(10)) == 10
+        res = classify_associability(uniform_path(12), uniform_path(10), 2)
+        assert res.kind is AssocKind.PARTIALLY_DISSOCIATED
+        assert res.overlap_fraction == 1
+        # C(14, k) <= 3432 for every k, so a 14-vertex state is never refused;
+        # C(15, 6) = 5005 is above FRAGMENT_LIMIT.
+        assert classify_associability(uniform_path(14), uniform_path(13), 2).overlap_fraction == 1
+        with pytest.raises(spacegraph.FragmentLimitExceeded, match="15 vertices with fragment size 6"):
+            classify_associability(uniform_path(15), uniform_path(14), 2)
+        # The gauge keys of a gauge-equivalent pair are shared, but they are
+        # not fragments: a rotated path shares no labeled vertex.
+        p = uniform_path(3)
+        assert common_subgraph_size(p, p.gauge_rotated(Fraction(1, 4))) == 0
 
     def test_k_min_validation(self):
         a = uniform_path(2)
@@ -342,25 +346,16 @@ class TestAssociability:
             classify_associability(a, a, 0)
 
     def test_verdict_exact_above_exact_subgraph_limit(self):
-        # Found by a seeded search over random 9-10 vertex pairs: the greedy
-        # common-subgraph search stops at 3 vertices, but both states hold
-        # the same connected induced 4-vertex region, so with k_min 4 they
-        # are partially dissociated, not completely.
-        a = SpaceState.build(
-            {v: (1, 2 if v in (2, 7) else 1, 0) for v in range(9)},
-            [(0, 1, 2), (0, 2, 2), (0, 3, 1), (0, 4, 1), (0, 6, 1), (0, 8, 2), (1, 6, 1),
-             (3, 5, 2), (3, 7, 2), (4, 7, 2), (5, 8, 2), (6, 7, 2), (6, 8, 1)],
-        )
-        b = SpaceState.build(
-            {v: (1, 2 if v % 2 == 0 else 1, 0) for v in range(9)},
-            [(0, 1, 2), (0, 2, 1), (0, 4, 1), (0, 7, 2), (0, 8, 2), (1, 4, 2), (1, 6, 1),
-             (2, 3, 1), (2, 5, 2), (3, 5, 1), (3, 6, 1), (3, 7, 1), (6, 8, 1)],
-        )
-        assert max(a.n, b.n) > spacegraph.EXACT_SUBGRAPH_LIMIT
+        # Both states hold the same connected induced 4-vertex region, so
+        # with k_min 4 they are partially dissociated, not completely, and
+        # their overlap is 4/9 whatever k_min is.
+        a, b = nine_vertex_pair()
+        assert brute_force_common_subgraph_size(a, b) == 4
         assert brute_force_assoc_kind(a, b, 4) is AssocKind.PARTIALLY_DISSOCIATED
-        res = classify_associability(a, b, 4)
-        assert res.kind is AssocKind.PARTIALLY_DISSOCIATED
-        assert res.overlap_fraction >= Fraction(4, 9)
+        for k_min in (2, 3, 4):
+            res = classify_associability(a, b, k_min)
+            assert res.kind is AssocKind.PARTIALLY_DISSOCIATED
+            assert res.overlap_fraction == Fraction(4, 9)
 
 
 class TestFragmentSignatures:
@@ -496,3 +491,4 @@ def connected_pairs(draw):
 def test_verdict_agrees_with_brute_force_at_any_size(pair):
     a, b, k_min = pair
     assert classify_associability(a, b, k_min).kind is brute_force_assoc_kind(a, b, k_min)
+    assert common_subgraph_size(a, b) == brute_force_common_subgraph_size(a, b)

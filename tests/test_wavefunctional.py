@@ -295,6 +295,20 @@ class TestDump:
         with pytest.raises(ValueError, match="WFN1"):
             wfn1_loads("entry 00 - 1.0 0.0\n")
 
+    def test_corrupted_or_truncated_dump_names_the_line(self, rng):
+        psi = random_wavefunctional(rng, n_entries=4)
+        lines = wfn1_dumps(psi).splitlines()
+        assert lines[0].endswith(" entries=4") and lines[1].startswith("entry ")
+        key = lines[1].split()[1]
+        for text, message in (
+            (wfn1_dumps(psi).replace(key, "zz", 1), "key on line 2 does not match"),
+            (wfn1_dumps(psi).replace(" entries=4", " entries=5", 1), "line 1 says entries=5, but 4"),
+            (wfn1_dumps(psi).replace(" entries=4", "", 1), "bad WFN1 header on line 1"),
+            ("\n".join(lines[: lines.index("end") + 1]) + "\n", "line 1 says entries=4, but 1"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                wfn1_loads(text)
+
     def test_cell_digit_other_than_bit_names_the_line(self):
         psi = Wavefunctional.from_states([(uniform_path(2).with_cell_index((1, 0, 1)), 1.0)])
         text = wfn1_dumps(psi).replace(" 101 ", " 121 ")
