@@ -44,6 +44,7 @@ from .reference import bisection_refinement, brute_force_assoc_kind, brute_force
 from .spacegraph import (
     AssocKind,
     FragmentLimitExceeded,
+    Phase,
     check_fragment_count,
     classify_associability,
     ssg1_loads,
@@ -374,8 +375,11 @@ def verify(
         f"norm drift {drift:.3e}",
     )
 
-    # Gauge absorption round trip.
+    # Gauge absorption round trip: amplitudes through reconstruct(), states
+    # through the absorbed state, which must keep the source's gauge class
+    # and give back its exact fields when rotated back by theta.
     worst = 0.0
+    checked = moved = 0
     for _ in range(10):
         psi = random_wavefunctional(rng, n_entries=8)
         view = gauge_absorb(psi)
@@ -390,11 +394,18 @@ def verify(
             worst,
             max(abs(back.entries[k][1] - psi.entries[k][1]) for k in psi.entries),
         )
+        for key, (source, _amp) in psi.entries.items():
+            absorbed = view.absorbed_state(key)
+            undone = absorbed.gauge_rotated(-Phase.from_radians(view.gauge_log[key]).turns)
+            checked += 1
+            moved += absorbed.gauge_key != source.gauge_key or (
+                (undone.geometry, undone.fields) != (source.geometry, source.fields)
+            )
     else:
         record(
             "gauge-roundtrip",
-            "PASS" if worst <= 1e-15 else "FAIL",
-            f"max amplitude error {worst:.3e}",
+            "PASS" if worst <= 1e-15 and not moved else "FAIL",
+            f"max amplitude error {worst:.3e}, {checked - moved}/{checked} absorbed states round-trip",
         )
 
     # Refinement: the bisection oracle's cells have equal exact weight, and

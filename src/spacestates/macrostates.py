@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,9 +28,6 @@ class MacroPartition:
 
     def label_of(self, state: SpaceState) -> str:
         return self.classifier(state)
-
-    def labels_for(self, states: Iterable[SpaceState]) -> list[str]:
-        return sorted({self.classifier(s) for s in states})
 
 
 def vertex_count_partition(width: int = 4) -> MacroPartition:

@@ -47,10 +47,6 @@ class Phase:
         object.__setattr__(self, "turns", turns)
 
     @classmethod
-    def zero(cls) -> "Phase":
-        return cls(Fraction(0))
-
-    @classmethod
     def from_turns(cls, turns) -> "Phase":
         return cls(as_fraction(turns))
 
@@ -167,10 +163,6 @@ class FieldConfig:
     def build(cls, mapping: Mapping[int, VertexField]) -> "FieldConfig":
         return cls(tuple(mapping.items()))
 
-    @classmethod
-    def homogeneous(cls, vertices: Iterable[int], record: VertexField) -> "FieldConfig":
-        return cls(tuple((v, record) for v in vertices))
-
     @property
     def vertices(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.fields)
@@ -190,33 +182,16 @@ class FieldConfig:
     def rotated(self, delta_turns: Fraction) -> "FieldConfig":
         """Global gauge action: shift every charged vertex's phase by delta."""
         delta = as_fraction(delta_turns)
-        memo: dict[VertexField, VertexField] = {}
         out = []
         for v, rec in self.fields:
             if rec.charged:
-                shifted = memo.get(rec)
-                if shifted is None:
-                    shifted = VertexField(
-                        rec.species_tag, rec.matter_amplitude, rec.u1_phase.shifted(delta)
-                    )
-                    memo[rec] = shifted
-                rec = shifted
+                rec = VertexField(rec.species_tag, rec.matter_amplitude, rec.u1_phase.shifted(delta))
             out.append((v, rec))
-        # Rotation preserves vertex order and coverage, so skip revalidation.
-        config = object.__new__(FieldConfig)
-        object.__setattr__(config, "fields", tuple(out))
-        return config
+        return FieldConfig(tuple(out))
 
     def is_homogeneous(self) -> bool:
         records = {rec for _, rec in self.fields}
         return len(records) == 1
-
-
-# Keys are pure functions of the labeled structure, so they are shared
-# across all SpaceState instances with equal geometry and fields.
-_CANONICAL_CACHE: dict[tuple, bytes] = {}
-_GAUGE_CACHE: dict[tuple, bytes] = {}
-_KEY_CACHE_MAX = 500_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,13 +236,7 @@ class SpaceState:
     def canonical_key(self) -> bytes:
         cached = self.__dict__.get("_ckey")
         if cached is None:
-            struct = (self.geometry, self.fields)
-            cached = _CANONICAL_CACHE.get(struct)
-            if cached is None:
-                cached = _canonical_bytes(self)
-                if len(_CANONICAL_CACHE) >= _KEY_CACHE_MAX:
-                    _CANONICAL_CACHE.clear()
-                _CANONICAL_CACHE[struct] = cached
+            cached = _canonical_bytes(self)
             object.__setattr__(self, "_ckey", cached)
         return cached
 
@@ -275,13 +244,7 @@ class SpaceState:
     def gauge_key(self) -> bytes:
         cached = self.__dict__.get("_gkey")
         if cached is None:
-            struct = (self.geometry, self.fields)
-            cached = _GAUGE_CACHE.get(struct)
-            if cached is None:
-                cached = _gauge_canonical_bytes(self)
-                if len(_GAUGE_CACHE) >= _KEY_CACHE_MAX:
-                    _GAUGE_CACHE.clear()
-                _GAUGE_CACHE[struct] = cached
+            cached = _gauge_canonical_bytes(self)
             object.__setattr__(self, "_gkey", cached)
         return cached
 
@@ -289,13 +252,7 @@ class SpaceState:
         return self.fields.charged_vertices()
 
     def gauge_rotated(self, delta_turns: Fraction) -> "SpaceState":
-        # Geometry and cell are unchanged and the rotated fields cover the
-        # same vertices, so construction can skip revalidation.
-        state = object.__new__(SpaceState)
-        object.__setattr__(state, "geometry", self.geometry)
-        object.__setattr__(state, "fields", self.fields.rotated(delta_turns))
-        object.__setattr__(state, "cell_index", self.cell_index)
-        return state
+        return SpaceState(self.geometry, self.fields.rotated(delta_turns), self.cell_index)
 
     def with_cell_index(self, cell_index: Sequence[int]) -> "SpaceState":
         twin = SpaceState(self.geometry, self.fields, tuple(cell_index))
@@ -433,8 +390,11 @@ def _gauge_canonical_bytes(state: SpaceState) -> bytes:
         return state.canonical_key
     # Rotating every charged phase so that some charged vertex sits at zero
     # produces a finite orbit-invariant candidate set; the minimum canonical
-    # key over it identifies the gauge class exactly.
-    return min(state.gauge_rotated(-delta).canonical_key for delta in sorted(offsets))
+    # key over it identifies the gauge class exactly. Offset 0 is the state
+    # itself, whose key is usually labeled already.
+    return min(
+        (state.gauge_rotated(-delta) if delta else state).canonical_key for delta in sorted(offsets)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +454,11 @@ def check_fragment_count(n: int, k: int, name: str = "k_min") -> None:
 
 def _connected_subsets(adj: list[set[int]], k: int) -> list[tuple[int, ...]]:
     """Every connected k-vertex subset exactly once, each grown from its
-    smallest vertex through exclusive neighbours (Wernicke's ESU, 2006)."""
+    smallest vertex through exclusive neighbours (Wernicke's ESU, 2006).
+    A graph of fewer than k vertices has none, and is not searched."""
     out: list[tuple[int, ...]] = []
+    if k > len(adj):
+        return out
 
     def extend(sub: tuple[int, ...], closed: set[int], ext: list[int], root: int) -> None:
         if len(sub) == k:
@@ -512,6 +475,7 @@ def _connected_subsets(adj: list[set[int]], k: int) -> list[tuple[int, ...]]:
 
 
 _FRAGMENT_CACHE: dict[tuple[bytes, int], frozenset[bytes]] = {}
+_FRAGMENT_CACHE_MAX = 500_000
 
 
 def fragment_signatures(state: SpaceState, k_min: int) -> frozenset[bytes]:
@@ -533,8 +497,6 @@ def fragment_signatures(state: SpaceState, k_min: int) -> frozenset[bytes]:
         edges = [(index[u], index[v], length) for u, v, length in state.geometry.edges]
         sigs = {b"g" + state.gauge_key}
         for subset in _connected_subsets(adj, k_min):
-            # Fragments are renumbered 0..k-1, so equal fragments of
-            # different states share one canonical-cache entry.
             pos = {v: i for i, v in enumerate(sorted(subset))}
             graph = SpaceGraph(
                 tuple(range(k_min)),
@@ -543,7 +505,7 @@ def fragment_signatures(state: SpaceState, k_min: int) -> frozenset[bytes]:
             fields = FieldConfig(tuple((i, records[v]) for v, i in pos.items()))
             sigs.add(b"f" + SpaceState(graph, fields).canonical_key)
         cached = frozenset(sigs)
-        if len(_FRAGMENT_CACHE) >= _KEY_CACHE_MAX:
+        if len(_FRAGMENT_CACHE) >= _FRAGMENT_CACHE_MAX:
             _FRAGMENT_CACHE.clear()
         _FRAGMENT_CACHE[key] = cached
     return cached

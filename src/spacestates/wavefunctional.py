@@ -2,9 +2,13 @@
 
 Entries are keyed by (canonical graph key, cell index), so equal physical
 basis states never occupy two entries. Amplitudes below the prune tolerance
-are dropped after every construction. Gauge absorption rewrites each complex
-amplitude r*e^{i theta} as a non-negative density r on the state whose
-charged phases have been shifted by theta.
+are dropped after every construction. Gauge absorption writes the
+wavefunctional in polar form: each complex amplitude r*e^{i theta} becomes a
+non-negative density r on the entry's own (unrotated) state, with theta kept
+beside it in a gauge log. Absorbing theta into the global U(1) gauge shifts
+every charged phase of the state by theta; that state is built only on
+request (`DensitizedView.absorbed_state`), since the gauge class is what is
+invariant and every builtin macro partition is phase-blind.
 """
 
 from __future__ import annotations
@@ -114,10 +118,13 @@ def gauge_rotate(psi: Wavefunctional, theta: float) -> Wavefunctional:
 
 @dataclass(frozen=True)
 class DensitizedView:
-    """The wavefunctional as non-negative densities on gauge-shifted states.
+    """The wavefunctional in polar form: non-negative densities, with the
+    phases kept in gauge_log.
 
-    Keys match the source wavefunctional entry for entry; gauge_log records
-    the absorbed phase, so reconstruct() reproduces the source exactly.
+    Keys match the source wavefunctional entry for entry, and each entry's
+    state is the source entry's state object itself, not a gauge-shifted
+    copy. absorbed_state() builds the state with the phase absorbed;
+    reconstruct() reproduces the source exactly.
     """
 
     entries: dict[EntryKey, tuple[SpaceState, float]]
@@ -130,13 +137,21 @@ class DensitizedView:
     def total_sq_weight(self) -> float:
         return sum(self.entries[k][1] ** 2 for k in self.sorted_keys())
 
+    def absorbed_state(self, key: EntryKey) -> SpaceState:
+        """The entry's state with its phase theta absorbed into the global
+        U(1) gauge: every charged phase shifted by theta. It has the stored
+        state's gauge key, so every builtin macro partition labels the two
+        alike."""
+        return self.entries[key][0].gauge_rotated(Phase.from_radians(self.gauge_log[key]).turns)
+
     def __len__(self) -> int:
         return len(self.entries)
 
 
 def gauge_absorb(psi: Wavefunctional) -> DensitizedView:
-    """Rewrite each entry's amplitude in polar form and push the phase into
-    the charged field configuration."""
+    """Rewrite each entry's amplitude in polar form: the density r on the
+    entry's state, the phase theta in the gauge log. Refuses a state with no
+    charged vertex, which could not absorb the phase."""
     entries: dict[EntryKey, tuple[SpaceState, float]] = {}
     gauge_log: dict[EntryKey, float] = {}
     for key in psi.sorted_keys():
@@ -146,23 +161,19 @@ def gauge_absorb(psi: Wavefunctional) -> DensitizedView:
             continue
         if not state.charged_vertices():
             raise NoChargedField("state has no charged vertex to absorb the phase")
-        theta = math.atan2(amp.imag, amp.real) % TWO_PI
-        rotated = state.gauge_rotated(Phase.from_radians(theta).turns)
-        entries[key] = (rotated, r)
-        gauge_log[key] = theta
+        entries[key] = (state, r)
+        gauge_log[key] = math.atan2(amp.imag, amp.real) % TWO_PI
     return DensitizedView(entries, gauge_log, psi.epoch)
 
 
 def reconstruct(view: DensitizedView) -> Wavefunctional:
-    """Inverse of gauge_absorb: amplitude r*e^{i theta} on the back-rotated
-    state. States round-trip bit-exactly; amplitudes to ~1e-16."""
+    """Inverse of gauge_absorb: amplitude r*e^{i theta} on the stored state.
+    States are the source's own; amplitudes round-trip to ~1e-16."""
     pairs = {}
     for key in view.sorted_keys():
         state, r = view.entries[key]
         theta = view.gauge_log[key]
-        amp = complex(r * math.cos(theta), r * math.sin(theta))
-        original = state.gauge_rotated(-Phase.from_radians(theta).turns)
-        pairs[key] = (original, amp)
+        pairs[key] = (state, complex(r * math.cos(theta), r * math.sin(theta)))
     return Wavefunctional(pairs, view.epoch)
 
 

@@ -18,6 +18,7 @@ from scipy import stats
 from spacestates import (
     Generator,
     LocalObservable,
+    Phase,
     RewriteRule,
     SpaceState,
     Wavefunctional,
@@ -117,8 +118,15 @@ def test_criterion_03_gauge_absorption():
         assert all(r >= 0 for _s, r in view.entries.values())
         back = reconstruct(view)
         assert set(back.entries) == set(psi.entries)
-        for key in psi.entries:
-            worst = max(worst, abs(back.entries[key][1] - psi.entries[key][1]))
+        for key, (source, amp) in psi.entries.items():
+            worst = max(worst, abs(back.entries[key][1] - amp))
+            assert view.entries[key][0] is source
+            # Absorb the phase through the accessor and rotate it back:
+            # exact geometry and fields, since `==` compares keys only.
+            absorbed = view.absorbed_state(key)
+            assert absorbed.gauge_key == source.gauge_key
+            undone = absorbed.gauge_rotated(-Phase.from_radians(view.gauge_log[key]).turns)
+            assert (undone.geometry, undone.fields) == (source.geometry, source.fields)
     assert worst <= 1e-15
 
     psi = normalize(random_wavefunctional(rng, n_entries=8))

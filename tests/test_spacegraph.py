@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -377,6 +378,23 @@ class TestFragmentSignatures:
         a = path_state([(1, 1, 0), (2, 1, 0), (1, 1, 0)], [1, 1])
         edge = path_state([(2, 1, 0), (1, 1, 0)], [1])
         assert spacegraph.fragment_signatures(a, 2) == {b"g" + a.gauge_key, b"f" + edge.canonical_key}
+
+    def test_state_smaller_than_k_has_no_fragment(self):
+        k16 = clique(16)
+        assert spacegraph.fragment_signatures(k16, 17) == {b"g" + k16.gauge_key}
+        calls = []
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code.co_name == "extend":
+                calls.append(event)
+
+        adj = [set(range(16)) - {v} for v in range(16)]
+        sys.setprofile(profile)
+        try:
+            subsets = spacegraph._connected_subsets(adj, 17)
+        finally:
+            sys.setprofile(None)
+        assert subsets == [] and calls == []
 
     def test_limit_refused_before_enumerating(self, monkeypatch):
         def fail(*_args):

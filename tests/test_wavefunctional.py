@@ -6,9 +6,11 @@ import pytest
 from spacestates import (
     MacroPartition,
     NoChargedField,
+    Phase,
     UnknownLabel,
     Wavefunctional,
     ZeroState,
+    builtin_classifiers,
     gauge_absorb,
     gauge_rotate,
     inner_product,
@@ -126,8 +128,9 @@ class TestGaugeAbsorb:
         a = uniform_path(3)
         psi = Wavefunctional.from_states([(a, 0.6j)])
         view = gauge_absorb(psi)
-        ((state, density),) = view.entries.values()
+        ((key, (_, density)),) = view.entries.items()
         assert density == 0.6
+        state = view.absorbed_state(key)
         for v in state.charged_vertices():
             assert math.isclose(state.fields.get(v).u1_phase.radians, math.pi / 2, abs_tol=1e-15)
 
@@ -151,9 +154,20 @@ class TestGaugeAbsorb:
             assert all(r >= 0 for _s, r in view.entries.values())
             back = reconstruct(view)
             assert set(back.entries) == set(psi.entries)
-            for key in psi.entries:
-                assert abs(back.entries[key][1] - psi.entries[key][1]) <= 1e-15
-                assert back.entries[key][0] == psi.entries[key][0]
+            for key, (source, amp) in psi.entries.items():
+                assert abs(back.entries[key][1] - amp) <= 1e-15
+                # The view keeps the source state itself, not a rotated copy.
+                assert view.entries[key][0] is source
+                assert back.entries[key][0] is source
+                # `==` compares canonical keys only, so compare the exact
+                # geometry and fields of the absorbed state rotated back.
+                absorbed = view.absorbed_state(key)
+                assert absorbed.gauge_key == source.gauge_key
+                undone = absorbed.gauge_rotated(-Phase.from_radians(view.gauge_log[key]).turns)
+                assert undone.geometry == source.geometry
+                assert undone.fields == source.fields
+                for part in builtin_classifiers():
+                    assert part.label_of(absorbed) == part.label_of(source)
 
     def test_densities_never_negative(self, rng):
         for _ in range(10):
