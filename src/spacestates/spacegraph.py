@@ -609,6 +609,8 @@ def ssg1_loads(text: str, first_line: int = 1) -> SpaceState:
         if vertex in fields:
             raise ValueError(f"duplicate SSG1 vertex {vertex} {at}")
         fields[vertex] = record
+    if not fields:
+        raise ValueError(f"SSG1 block headed on line {lines[0][0]} has no 'v' record")
     try:
         graph = SpaceGraph.build(fields, edges)
     except ValueError:

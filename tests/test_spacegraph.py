@@ -428,6 +428,7 @@ class TestSerialization:
             ("\nSSG1\nv 0 1 x 0\n", "bad SSG1 record on line 3:"),
             ("SSG1\nv 0 1 1 0\n\ne 0 0 1\n", "bad SSG1 record on line 4: 'e 0 0 1' (self-loop"),
             ("SSG1\ne 0 1 1\nv 0 1 1 0\nv 1 1 1 0\ne 1 0 2\n", "on line 5: 'e 1 0 2' (duplicate edge"),
+            ("\nSSG1\n\n", "SSG1 block headed on line 2 has no 'v' record"),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
                 ssg1_loads(text)
