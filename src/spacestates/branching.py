@@ -54,21 +54,16 @@ class BranchEvent:
 
 @dataclass
 class BranchTree:
+    """Branch nodes of every epoch, their links and events. `states` maps
+    the canonical key of every state seen in any epoch to one such state;
+    states with equal keys are isomorphic, with equal fragment signatures."""
+
     nodes: list[BranchNode]
     roots: list[BranchNode]
     events: list[BranchEvent]
     epochs: int
-    states: dict[EntryKey, SpaceState]
+    states: dict[bytes, SpaceState]
     k_min: int
-
-    def state_for(self, ckey: bytes) -> SpaceState:
-        index = self.__dict__.get("_by_ckey")
-        if index is None:
-            index = {}
-            for (ck, _cell), state in sorted(self.states.items()):
-                index.setdefault(ck, state)
-            self.__dict__["_by_ckey"] = index
-        return index[ckey]
 
     def nodes_at(self, epoch: int) -> list[BranchNode]:
         return [n for n in self.nodes if n.epoch == epoch]
@@ -130,21 +125,22 @@ def track(
         raise EmptySupport("empty series")
     nodes: list[BranchNode] = []
     events: list[BranchEvent] = []
-    all_states: dict[EntryKey, SpaceState] = {}
-    seen_ckeys: dict[bytes, SpaceState] = {}
+    states: dict[bytes, SpaceState] = {}
+    support: set[bytes] = set()
     previous: list[BranchNode] = []
     roots: list[BranchNode] = []
 
     for epoch, psi in enumerate(psi_series):
         if len(psi) == 0:
             raise EmptySupport(f"empty support at epoch {epoch}")
-        by_ckey: dict[bytes, SpaceState] = {}
         for key in psi.sorted_keys():
-            state = psi.entries[key][0]
-            all_states.setdefault(key, state)
-            seen_ckeys.setdefault(key[0], state)
-            by_ckey.setdefault(key[0], state)
-        comp = _components(by_ckey, k_min)
+            states.setdefault(key[0], psi.entries[key][0])
+        # After the first epochs the support is usually the whole basis, so
+        # its components are found again only when it changes.
+        ckeys = {key[0] for key in psi.entries}
+        if ckeys != support:
+            support = ckeys
+            comp = _components({ck: states[ck] for ck in support}, k_min)
 
         grouped: dict[tuple[int, str], list[EntryKey]] = {}
         for key in psi.sorted_keys():
@@ -175,7 +171,7 @@ def track(
                 if not positive:
                     # No surviving keys: link by associability overlap instead.
                     for parent_node in previous:
-                        ov = _assoc_overlap(child, parent_node, seen_ckeys, k_min)
+                        ov = _assoc_overlap(child, parent_node, states, k_min)
                         if ov > 0:
                             positive.append((ov, parent_node))
                 if not positive:
@@ -214,7 +210,7 @@ def track(
                     )
         previous = current
 
-    return BranchTree(nodes, roots, events, len(psi_series), all_states, k_min)
+    return BranchTree(nodes, roots, events, len(psi_series), states, k_min)
 
 
 def _assoc_overlap(
@@ -261,7 +257,7 @@ def irreversibility_scan(tree: BranchTree, horizon: int) -> BranchTree:
                 side = set()
                 for node in _descendants_at(child, later):
                     for key in node.member_keys:
-                        side |= fragment_signatures(tree.state_for(key[0]), tree.k_min)
+                        side |= fragment_signatures(tree.states[key[0]], tree.k_min)
                 if not seen.isdisjoint(side):
                     reversible = True
                     break

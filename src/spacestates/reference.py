@@ -193,7 +193,7 @@ def pairwise_irreversible(tree: BranchTree, horizon: int) -> list[bool]:
                 for child in children
             ]
             reversible = reversible or any(
-                pairwise_associable(tree.state_for(ca), tree.state_for(cb), tree.k_min)
+                pairwise_associable(tree.states[ca], tree.states[cb], tree.k_min)
                 for i, side in enumerate(sides)
                 for other in sides[i + 1 :]
                 for ca in side

@@ -298,12 +298,14 @@ def gauge_equivalent(a: SpaceState, b: SpaceState) -> bool:
 # form is the minimum byte string over all branches. Each state is mapped to
 # small ints once (vertices to 0..n-1, labels and lengths to their ranks among
 # the state's sorted distinct values, which keeps their order), and the text
-# of every label and length is built once. Twin pruning (McKay & Piperno,
-# "Practical graph isomorphism II", 2014): twins have the same label and the
-# same neighbours and lengths outside the pair, so swapping them is an
-# automorphism that fixes every individualized vertex and maps the subtree
-# under one onto the subtree under the other. The search skips a twin of a
-# vertex already branched on; a star or clique of n vertices takes n nodes.
+# of every label and length is built once. Fragments are labeled from their
+# parent's form, whose ranks order their labels and lengths as their own would,
+# so the bytes do not change. Twin pruning (McKay & Piperno, "Practical graph
+# isomorphism II", 2014): twins have the same label and the same neighbours
+# and lengths outside the pair, so swapping them is an automorphism that fixes
+# every individualized vertex and maps the subtree under one onto the subtree
+# under the other. The search skips a twin of a vertex already branched on; a
+# star or clique of n vertices takes n nodes.
 # ---------------------------------------------------------------------------
 
 
@@ -328,7 +330,11 @@ def _ranks(text: Sequence[str], values: Sequence) -> dict[str, int]:
     return {t: r for r, t in enumerate(sorted(distinct, key=distinct.__getitem__))}
 
 
-def _canonical_bytes(state: SpaceState) -> bytes:
+FormEdge = tuple[int, int, str, int]
+
+
+def _int_form(state: SpaceState) -> tuple[list[str], list[int], list[FormEdge]]:
+    """Label text and rank of vertices 0..n-1, and edges (i, j, length text, length rank)."""
     records = [rec for _, rec in state.fields.fields]
     label_text = [f"{rec.species_tag},{rec.matter_amplitude},{rec.u1_phase.turns}" for rec in records]
     label_rank = _ranks(label_text, [rec.label() for rec in records])
@@ -336,19 +342,25 @@ def _canonical_bytes(state: SpaceState) -> bytes:
     length_text = [str(length) for _, _, length in geometry_edges]
     length_rank = _ranks(length_text, [length for _, _, length in geometry_edges])
     index = {v: i for i, v in enumerate(state.geometry.vertices)}
-    adj: list[dict[int, int]] = [{} for _ in records]
-    edges = []
-    for (u, v, _), text in zip(geometry_edges, length_text):
-        i, j = index[u], index[v]
-        adj[i][j] = adj[j][i] = length_rank[text]
-        edges.append((i, j, text))
+    edges = [(index[u], index[v], t, length_rank[t]) for (u, v, _), t in zip(geometry_edges, length_text)]
+    return label_text, [label_rank[t] for t in label_text], edges
+
+
+def _canonical_bytes(state: SpaceState) -> bytes:
+    return _label_form(*_int_form(state))
+
+
+def _label_form(label_text: list[str], label_rank: list[int], edges: list[FormEdge]) -> bytes:
+    adj: list[dict[int, int]] = [{} for _ in label_text]
+    for i, j, _, rank in edges:
+        adj[i][j] = adj[j][i] = rank
     pairs = [tuple(nbrs.items()) for nbrs in adj]
-    head = [str(len(records))]
+    head = [str(len(label_text))]
 
     def leaf(pos: list[int]) -> bytes:
         # A discrete coloring ranks the vertices 0..n-1: color is position.
         order = sorted(range(len(pos)), key=pos.__getitem__)
-        lines = sorted((min(pos[i], pos[j]), max(pos[i], pos[j]), text) for i, j, text in edges)
+        lines = sorted((min(pos[i], pos[j]), max(pos[i], pos[j]), text) for i, j, text, _ in edges)
         parts = head + [label_text[v] for v in order] + [f"{i},{j},{text}" for i, j, text in lines]
         return ";".join(parts).encode("ascii")
 
@@ -381,7 +393,7 @@ def _canonical_bytes(state: SpaceState) -> bytes:
                 best = cand
         return best
 
-    return search([label_rank[text] for text in label_text])
+    return search(label_rank)
 
 
 def _gauge_canonical_bytes(state: SpaceState) -> bytes:
@@ -487,23 +499,17 @@ def fragment_signatures(state: SpaceState, k_min: int) -> frozenset[bytes]:
     cached = _FRAGMENT_CACHE.get(key)
     if cached is None:
         check_fragment_count(state.n, k_min)
-        verts = state.geometry.vertices
-        index = {v: i for i, v in enumerate(verts)}
-        adj: list[set[int]] = [set() for _ in verts]
-        for u, v, _ in state.geometry.edges:
-            adj[index[u]].add(index[v])
-            adj[index[v]].add(index[u])
-        records = [rec for _, rec in state.fields.fields]
-        edges = [(index[u], index[v], length) for u, v, length in state.geometry.edges]
+        label_text, label_rank, edges = _int_form(state)
+        adj: list[set[int]] = [set() for _ in label_text]
+        for i, j, _, _ in edges:
+            adj[i].add(j)
+            adj[j].add(i)
         sigs = {b"g" + state.gauge_key}
         for subset in _connected_subsets(adj, k_min):
             pos = {v: i for i, v in enumerate(sorted(subset))}
-            graph = SpaceGraph(
-                tuple(range(k_min)),
-                tuple((pos[u], pos[v], w) for u, v, w in edges if u in pos and v in pos),
-            )
-            fields = FieldConfig(tuple((i, records[v]) for v, i in pos.items()))
-            sigs.add(b"f" + SpaceState(graph, fields).canonical_key)
+            sub_edges = [(pos[i], pos[j], t, r) for i, j, t, r in edges if i in pos and j in pos]
+            sub_text = [label_text[v] for v in pos]
+            sigs.add(b"f" + _label_form(sub_text, [label_rank[v] for v in pos], sub_edges))
         cached = frozenset(sigs)
         if len(_FRAGMENT_CACHE) >= _FRAGMENT_CACHE_MAX:
             _FRAGMENT_CACHE.clear()
@@ -582,6 +588,18 @@ def ssg1_dumps(state: SpaceState) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The longest SSG1 number, and the largest exponent, that is parsed: building
+# Fraction('1e10000000') takes seconds, and str() raises past 4300 digits.
+NUMBER_LIMIT = 1000
+
+
+def _number(token: str) -> Fraction:
+    exponent = token.lower().partition("e")[2].lstrip("+-").replace("_", "")
+    if len(token) > NUMBER_LIMIT or (exponent.isdigit() and int(exponent) > NUMBER_LIMIT):
+        raise ValueError(f"number longer than {NUMBER_LIMIT} characters or with an exponent above it")
+    return Fraction(token)
+
+
 def ssg1_loads(text: str, first_line: int = 1) -> SpaceState:
     """Parse SSG1 text. Errors name the 1-based line of the bad record,
     counting the first line of `text` as line `first_line`."""
@@ -596,13 +614,13 @@ def ssg1_loads(text: str, first_line: int = 1) -> SpaceState:
         at = f"on line {n}: {ln!r}"
         try:
             if parts[0] == "e" and len(parts) == 4:
-                edges.append((int(parts[1]), int(parts[2]), Fraction(parts[3])))
+                edges.append((int(parts[1]), int(parts[2]), _number(parts[3])))
                 edge_at.append(at)
                 continue
             if parts[0] != "v" or len(parts) != 5:
                 raise ValueError("not a 'v' or 'e' record")
             vertex = int(parts[1])
-            record = VertexField(int(parts[2]), Fraction(parts[3]), Phase.from_turns(Fraction(parts[4])))
+            record = VertexField(int(parts[2]), _number(parts[3]), Phase.from_turns(_number(parts[4])))
         except (ValueError, ZeroDivisionError) as exc:
             detail = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
             raise ValueError(f"bad SSG1 record {at} ({detail})") from None

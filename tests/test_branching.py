@@ -20,6 +20,7 @@ from spacestates import (
     track,
     vertex_count_partition,
 )
+from spacestates import branching
 from spacestates.branching import _assoc_overlap, _components, branch_events_jsonl
 from spacestates.corpus import random_space_state
 from spacestates.reference import (
@@ -123,6 +124,27 @@ class TestTrack:
         tree = track([psi], vertex_count_partition(1), k_min=2)
         assert len(tree.nodes_at(0)) == 1
         assert tree.nodes_at(0)[0].weight == pytest.approx(1.0)
+
+    def test_components_found_once_per_support(self, monkeypatch):
+        # Amplitudes and cell indices change from epoch to epoch, but the
+        # canonical keys in the support do not, so neither do the components.
+        supports = []
+
+        def counting(states, k_min):
+            supports.append(sorted(states))
+            return _components(states, k_min)
+
+        monkeypatch.setattr(branching, "_components", counting)
+        series = [
+            Wavefunctional.from_states([(A1, 0.6), (M, 0.48), (B1, math.sqrt(1 - 0.36 - 0.2304))]),
+            Wavefunctional.from_states([(A1, 0.8), (M, 0.36), (B1, math.sqrt(1 - 0.64 - 0.1296))]),
+            Wavefunctional.from_states([(A1, 0.6), (A1.with_cell_index((1,)), 0.48), (M, 0.48), (B1, 0.42)]),
+            Wavefunctional.from_states([(A1, 0.1), (M, 0.1), (B1, 0.1)]),
+        ]
+        tree = track(series, SIDE_PARTITION, k_min=1)
+        assert supports == [sorted({A1.canonical_key, M.canonical_key, B1.canonical_key})]
+        assert tree.branch_counts() == [1, 1, 1, 1]
+        assert sorted(tree.states) == supports[0]
 
 
 class TestIrreversibility:
@@ -340,14 +362,13 @@ class TestPairwiseOracles:
             for k_min in (1, 2, 3):
                 tree, branch_events = check_against_oracles(series, k_min)
                 events += branch_events
-                states = {key[0]: state for key, state in tree.states.items()}
                 for child in tree.nodes:
                     for parent in tree.nodes:
                         pairs = sum(
-                            pairwise_associable(states[ck], states[pk], k_min)
+                            pairwise_associable(tree.states[ck], tree.states[pk], k_min)
                             for ck in {k[0] for k in child.member_keys}
                             for pk in {k[0] for k in parent.member_keys}
                         )
-                        assert _assoc_overlap(child, parent, states, k_min) == pairs
+                        assert _assoc_overlap(child, parent, tree.states, k_min) == pairs
         assert events > 0
 

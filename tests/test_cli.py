@@ -175,6 +175,19 @@ class TestRun:
         assert "rule on line 2: bad SSG1 record on line 5:" in err
         assert str(bad_rules) in err
 
+    def test_oversized_number_exits_1_in_initial_state_and_2_in_rules(self, tmp_path, capsys):
+        # 1e5000 parses, but str() of its 5001-digit numerator raises while
+        # the state is labeled; it is refused as a bad record instead.
+        bad_state = tmp_path / "huge.ssg"
+        bad_state.write_text("SSG1\nv 0 1 1 0\nv 1 1 1 0\ne 0 1 1e5000\n")
+        assert invoke("run", str(write_config(tmp_path, initial_state_file=str(bad_state)))) == 1
+        assert "bad SSG1 record on line 4: 'e 0 1 1e5000'" in capsys.readouterr().err
+        bad_rules = tmp_path / "huge.rul"
+        rules = (CONFIG_DIR / "two_state_rabi.rul").read_text()
+        bad_rules.write_text(rules.replace("v 0 1 1 0", "v 0 1 1e5000 0", 1))
+        assert invoke("run", str(write_config(tmp_path, rules_file=str(bad_rules)))) == 2
+        assert "rule on line 2: bad SSG1 record on line 5:" in capsys.readouterr().err
+
     def test_duplicate_vertex_in_initial_state_exits_1(self, tmp_path, capsys):
         bad_state = tmp_path / "dup.ssg"
         bad_state.write_text("SSG1\nv 0 1 1 0\nv 0 2 5 1/2\n")
@@ -323,7 +336,7 @@ def test_shipped_config_artifacts_match_pinned_digests(tmp_path, name):
 # must end in a documented exit code of `run`, never in a traceback.
 REFERENCE_RUL1_LINES = (CONFIG_DIR / "reference_branching.rul").read_text().splitlines()
 MANGLED_TOKENS = (
-    "", "x", "-1", "0", "1/0", "-0.5", "nan", "inf", "1e308", "99999999999999999999",
+    "", "x", "-1", "0", "1/0", "-0.5", "nan", "inf", "1e308", "1e5000", "99999999999999999999",
     "rule", "pattern", "replacement", "end", "SSG1", "RUL1", "v", "e",
 )
 

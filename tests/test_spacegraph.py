@@ -374,6 +374,24 @@ class TestFragmentSignatures:
                 assert b"g" + state.gauge_key in sigs
                 assert sigs - {b"g" + state.gauge_key} == self._by_combinations(state, k)
 
+    def test_fragments_build_no_state(self, monkeypatch):
+        # Fragments are labeled on the parent's small-int form: no SpaceGraph,
+        # FieldConfig or SpaceState is built, and so none is validated.
+        state = random_space_state(random.Random(11), n_min=8, n_max=8)
+        assert state.gauge_key
+        built = []
+        for cls in (SpaceGraph, spacegraph.FieldConfig, SpaceState):
+
+            def counting(self, check=cls.__post_init__):
+                built.append(self)
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(spacegraph, "_FRAGMENT_CACHE", {})
+        for k in (1, 2, 3, 4):
+            assert len(spacegraph.fragment_signatures(state, k)) > 1
+        assert built == []
+
     def test_two_vertex_fragments_are_the_labeled_edges(self):
         a = path_state([(1, 1, 0), (2, 1, 0), (1, 1, 0)], [1, 1])
         edge = path_state([(2, 1, 0), (1, 1, 0)], [1])
@@ -429,6 +447,12 @@ class TestSerialization:
             ("SSG1\nv 0 1 1 0\n\ne 0 0 1\n", "bad SSG1 record on line 4: 'e 0 0 1' (self-loop"),
             ("SSG1\ne 0 1 1\nv 0 1 1 0\nv 1 1 1 0\ne 1 0 2\n", "on line 5: 'e 1 0 2' (duplicate edge"),
             ("\nSSG1\n\n", "SSG1 block headed on line 2 has no 'v' record"),
+            # Numbers whose exact value would take seconds to build, or whose
+            # text str() refuses, are refused before they are parsed.
+            ("SSG1\nv 0 1 1 0\nv 1 1 1 0\ne 0 1 1e5000\n", "on line 4: 'e 0 1 1e5000' (number longer"),
+            ("SSG1\nv 0 1 1e10000000 0\n", "bad SSG1 record on line 2:"),
+            ("SSG1\nv 0 1 1 1E+5_000\n", "bad SSG1 record on line 2:"),
+            ("SSG1\nv 0 1 1 0\nv 1 1 1 0\ne 0 1 " + "7" * 1001 + "\n", "bad SSG1 record on line 4:"),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
                 ssg1_loads(text)
@@ -506,7 +530,7 @@ def connected_pairs(draw):
 
 
 @given(connected_pairs())
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 def test_verdict_agrees_with_brute_force_at_any_size(pair):
     a, b, k_min = pair
     assert classify_associability(a, b, k_min).kind is brute_force_assoc_kind(a, b, k_min)
