@@ -9,8 +9,10 @@ closure of the seed support in which each state is expanded once: its rule
 applications both discover new states and, once the basis is fixed, give the
 generator's coupling pattern. The basis and that pattern depend only on the
 rule shapes, not on the coupling strengths, so the expansion is done once per
-rule structure and re-weighted for each coupling set. Evolution applies the
-exact matrix exponential on that truncated basis.
+rule structure and re-weighted for each coupling set. Once the basis is
+full, a result whose vertex and edge counts no basis state has is outside it
+by size alone and is not canonically labeled. Evolution applies the exact
+matrix exponential on that truncated basis.
 """
 
 from __future__ import annotations
@@ -252,27 +254,35 @@ def _expand_structure(
 ) -> _Structure:
     basis = list(seed_states)
     index = {entry_key(s): i for i, s in enumerate(basis)}
-    found: list[tuple[int, EntryKey, int]] = []
+    found: list[tuple[int, EntryKey | None, int]] = []
 
     # A full basis stops admitting states, but its last level is still
-    # expanded so that its couplings and boundary are recorded.
+    # expanded so that its couplings and boundary are recorded. There each
+    # result is a basis state or outside. Vertex and edge counts are
+    # isomorphism invariants, so a result whose counts no basis state has is
+    # outside without being labeled; it is recorded under the key None.
     expanded = 0
     while expanded < len(basis):
-        discovered: dict[EntryKey, SpaceState] = {}
+        room = max_dim - len(basis)
+        sizes = None if room else {(s.n, len(s.geometry.edges)) for s in basis}
+        discovered: dict[EntryKey | None, SpaceState] = {}
         for src in range(expanded, len(basis)):
             for pos, rule in enumerate(ordered_rules):
                 for result in rule_applications(rule, basis[src]):
-                    key = entry_key(result)
+                    if sizes is None or (result.n, len(result.geometry.edges)) in sizes:
+                        key = entry_key(result)
+                    else:
+                        key = None
                     found.append((src, key, pos))
                     if key not in index:
                         discovered.setdefault(key, result)
         expanded = len(basis)
-        room = max_dim - len(basis)
         if len(discovered) > room and not accept_truncation:
             raise TruncationExceeded(f"closure exceeds max_dim={max_dim}")
-        for key in sorted(discovered)[:room]:
-            index[key] = len(basis)
-            basis.append(discovered[key])
+        if room:
+            for key in sorted(discovered)[:room]:
+                index[key] = len(basis)
+                basis.append(discovered[key])
 
     applications: list[tuple[int, int, int]] = []
     boundary: set[int] = set()

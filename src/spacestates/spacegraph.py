@@ -492,24 +492,35 @@ _FRAGMENT_CACHE_MAX = 500_000
 
 def fragment_signatures(state: SpaceState, k_min: int) -> frozenset[bytes]:
     """The state's gauge key (tagged b"g") and the canonical key of every
-    connected induced k_min-vertex fragment (tagged b"f"). Memoized on the
-    canonical key; raises FragmentLimitExceeded before enumerating when
-    C(n, k_min) exceeds FRAGMENT_LIMIT."""
+    connected induced k_min-vertex fragment (tagged b"f"). Fragments of one
+    or two vertices are keyed in closed form, the others by the general
+    search. Memoized on the canonical key; raises FragmentLimitExceeded
+    before enumerating when C(n, k_min) exceeds FRAGMENT_LIMIT."""
     key = (state.canonical_key, k_min)
     cached = _FRAGMENT_CACHE.get(key)
     if cached is None:
         check_fragment_count(state.n, k_min)
         label_text, label_rank, edges = _int_form(state)
-        adj: list[set[int]] = [set() for _ in label_text]
-        for i, j, _, _ in edges:
-            adj[i].add(j)
-            adj[j].add(i)
         sigs = {b"g" + state.gauge_key}
-        for subset in _connected_subsets(adj, k_min):
-            pos = {v: i for i, v in enumerate(sorted(subset))}
-            sub_edges = [(pos[i], pos[j], t, r) for i, j, t, r in edges if i in pos and j in pos]
-            sub_text = [label_text[v] for v in pos]
-            sigs.add(b"f" + _label_form(sub_text, [label_rank[v] for v in pos], sub_edges))
+        if k_min == 1:
+            # The connected fragments of one vertex are the vertices, and of
+            # two the edges; their keys are what `_label_form` writes, the
+            # lower-ranked label first.
+            sigs.update(f"f1;{text}".encode("ascii") for text in label_text)
+        elif k_min == 2:
+            for i, j, text, _ in edges:
+                lo, hi = (i, j) if label_rank[i] <= label_rank[j] else (j, i)
+                sigs.add(f"f2;{label_text[lo]};{label_text[hi]};0,1,{text}".encode("ascii"))
+        else:
+            adj: list[set[int]] = [set() for _ in label_text]
+            for i, j, _, _ in edges:
+                adj[i].add(j)
+                adj[j].add(i)
+            for subset in _connected_subsets(adj, k_min):
+                pos = {v: i for i, v in enumerate(sorted(subset))}
+                sub_edges = [(pos[i], pos[j], t, r) for i, j, t, r in edges if i in pos and j in pos]
+                sub_text = [label_text[v] for v in pos]
+                sigs.add(b"f" + _label_form(sub_text, [label_rank[v] for v in pos], sub_edges))
         cached = frozenset(sigs)
         if len(_FRAGMENT_CACHE) >= _FRAGMENT_CACHE_MAX:
             _FRAGMENT_CACHE.clear()

@@ -145,6 +145,12 @@ class TestRun:
         path = reference_config(tmp_path, accept_truncation=False)
         assert invoke("run", str(path)) == 3
 
+    def test_truncation_refused_by_size_alone_exits_3(self, tmp_path):
+        # At max_dim 3 the basis fills at the end of level 0, and every
+        # result of the next level is outside it by its vertex count alone.
+        path = reference_config(tmp_path, max_dim=3, accept_truncation=False)
+        assert invoke("run", str(path)) == 3
+
     def test_corrupt_rule_file_exits_2(self, tmp_path):
         bad_rules = tmp_path / "bad.rul"
         bad_rules.write_text("RUL1\nrule zero nan\n")

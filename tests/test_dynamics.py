@@ -1,8 +1,10 @@
 import cmath
+import hashlib
 import itertools
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +29,9 @@ from spacestates import (
     rul1_dumps,
     rul1_loads,
     ssg1_dumps,
+    ssg1_loads,
 )
-from spacestates import dynamics
+from spacestates import dynamics, spacegraph
 from spacestates.corpus import random_space_state
 
 from conftest import count_rule_applications, nine_vertex_pair, path_state, uniform_path
@@ -178,6 +181,58 @@ def three_rule_system():
     return seed, [flip, swap, grow]
 
 
+def assert_matches_naive_enumerator(seed, rules):
+    """The closure has 9 states; smaller max_dim values truncate it at every
+    possible size, and at each the generator equals the oracle's matrix
+    restricted to the truncated basis, and the boundary is the set of basis
+    states with a result outside it."""
+    oracle_basis, oracle_matrix = naive_closure([seed], rules)
+    assert len(oracle_basis) == 9
+    oracle_index = {s: i for i, s in enumerate(oracle_basis)}
+    for max_dim in THREE_RULE_MAX_DIMS:
+        psi = Wavefunctional.from_states([(seed, 1.0)])
+        gen = expand_reachable(psi, rules, max_dim=max_dim, accept_truncation=max_dim < 9)
+        assert gen.dim == min(max_dim, 9)
+        perm = [oracle_index[s] for s in gen.basis]
+        restricted = oracle_matrix[np.ix_(perm, perm)]
+        assert np.array_equal(gen.matrix, restricted), max_dim
+        inside = set(gen.basis)
+        leaking = {
+            i
+            for i, state in enumerate(gen.basis)
+            for rule in rules
+            for match in naive_matches(rule, state)
+            if (result := naive_apply(rule, state, match)) is not None
+            and result not in inside
+        }
+        assert gen.boundary == leaking, max_dim
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def reference_rules():
+    return rul1_loads((CONFIG_DIR / "reference_branching.rul").read_text())
+
+
+def reference_seed():
+    """The reference initial state as a freshly loaded (unlabeled) wavefunctional."""
+    return Wavefunctional.from_states([(ssg1_loads((CONFIG_DIR / "reference_branching.ssg").read_text()), 1.0)])
+
+
+def count_label_forms(monkeypatch):
+    """Count calls of spacegraph._label_form; returns a one-item list."""
+    calls = [0]
+    original = spacegraph._label_form
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(spacegraph, "_label_form", counting)
+    return calls
+
+
 def assert_same_as_uncached(gen, *args, **kwargs):
     """gen's basis (as SSG1 text), matrix and boundary equal those of a call
     with the given arguments on an empty expansion memo."""
@@ -210,30 +265,44 @@ class TestExpandReachable:
         assert not gen.matrix.imag.any()
 
     def test_matches_naive_enumerator_on_three_rule_system(self):
-        # The full closure has 9 states; smaller max_dim values truncate it
-        # at every possible size, and the generator must equal the oracle's
-        # matrix restricted to the truncated basis.
         seed, rules = three_rule_system()
-        oracle_basis, oracle_matrix = naive_closure([seed], rules)
-        assert len(oracle_basis) == 9
-        oracle_index = {s: i for i, s in enumerate(oracle_basis)}
-        for max_dim in THREE_RULE_MAX_DIMS:
-            psi = Wavefunctional.from_states([(seed, 1.0)])
-            gen = expand_reachable(psi, rules, max_dim=max_dim, accept_truncation=max_dim < 9)
-            assert gen.dim == min(max_dim, 9)
-            perm = [oracle_index[s] for s in gen.basis]
-            restricted = oracle_matrix[np.ix_(perm, perm)]
-            assert np.array_equal(gen.matrix, restricted), max_dim
-            inside = set(gen.basis)
-            leaking = {
-                i
-                for i, state in enumerate(gen.basis)
-                for rule in rules
-                for match in naive_matches(rule, state)
-                if (result := naive_apply(rule, state, match)) is not None
-                and result not in inside
-            }
-            assert gen.boundary == leaking, max_dim
+        assert_matches_naive_enumerator(seed, rules)
+
+    def test_matches_naive_enumerator_with_vertex_deleting_rule(self):
+        # Undoing the grow rule takes an edge back to one vertex, so the
+        # results of a full basis land on vertex and edge counts that basis
+        # states hold; counts alone cannot place them outside.
+        seed, rules = three_rule_system()
+        shrink = RewriteRule(
+            3,
+            SpaceState.build({0: (2, 4, 0), 1: (3, 1, 0)}, [(0, 1, 3)]),
+            SpaceState.build({0: (2, 2, 0)}),
+            0.3,
+        )
+        assert_matches_naive_enumerator(seed, [*rules, shrink])
+
+    def test_full_basis_labels_no_out_of_size_result(self, monkeypatch):
+        # Every reference rule adds a vertex and an edge, so the results of
+        # the level expanded after the basis fills have counts that no basis
+        # state has. They are boundary applications found without labeling,
+        # so only the seed and the 240 results of the earlier levels are
+        # labeled.
+        calls = count_label_forms(monkeypatch)
+        gen = expand_reachable(reference_seed(), reference_rules(), max_dim=96, accept_truncation=True)
+        assert calls[0] == 241
+        digest = hashlib.sha256(gen.matrix.tobytes())
+        digest.update(repr(sorted(gen.boundary)).encode())
+        assert digest.hexdigest() == "3dc7bbf6c976190d929a49e7fd2c456964ec66815f18a03845fb5b4b6a1e7cbb"
+
+    def test_refusal_found_only_by_size_still_raises(self, monkeypatch):
+        # At max_dim 3 the seed and the 2 states of level 0 fill the basis;
+        # every result of the next level has 4 vertices, so only the seed
+        # and the 4 results of level 0 are labeled, yet the next level's
+        # results still refuse the truncation.
+        calls = count_label_forms(monkeypatch)
+        with pytest.raises(TruncationExceeded):
+            expand_reachable(reference_seed(), reference_rules(), max_dim=3)
+        assert calls[0] == 1 + 4
 
     @pytest.mark.parametrize("max_dim", THREE_RULE_MAX_DIMS)
     def test_each_basis_state_expanded_once_per_rule(self, monkeypatch, max_dim):
