@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 TWO_PI = 2.0 * math.pi
@@ -48,7 +50,7 @@ class Phase:
 
     @classmethod
     def from_turns(cls, turns) -> "Phase":
-        return cls(as_fraction(turns))
+        return cls(turns)
 
     @classmethod
     def from_radians(cls, radians: float) -> "Phase":
@@ -105,7 +107,7 @@ class SpaceGraph:
 
     @classmethod
     def build(cls, vertices: Iterable[int], edges: Iterable[tuple[int, int, object]]) -> "SpaceGraph":
-        return cls(tuple(vertices), tuple((u, v, as_fraction(w)) for u, v, w in edges))
+        return cls(tuple(vertices), tuple(edges))
 
     @property
     def n(self) -> int:
@@ -222,9 +224,7 @@ class SpaceState:
         cell_index: Sequence[int] = (),
     ) -> "SpaceState":
         """Assemble a state from {vertex: (species, matter, phase_turns)} plus edges."""
-        config = FieldConfig.build(
-            {v: VertexField(s, as_fraction(m), Phase.from_turns(p)) for v, (s, m, p) in fields.items()}
-        )
+        config = FieldConfig.build({v: VertexField(s, m, p) for v, (s, m, p) in fields.items()})
         graph = SpaceGraph.build(fields.keys(), edges)
         return cls(graph, config, tuple(cell_index))
 
@@ -232,21 +232,18 @@ class SpaceState:
     def n(self) -> int:
         return self.geometry.n
 
-    @property
+    @cached_property
     def canonical_key(self) -> bytes:
-        cached = self.__dict__.get("_ckey")
-        if cached is None:
-            cached = _canonical_bytes(self)
-            object.__setattr__(self, "_ckey", cached)
-        return cached
+        return _canonical_bytes(self)
 
-    @property
+    @cached_property
     def gauge_key(self) -> bytes:
-        cached = self.__dict__.get("_gkey")
-        if cached is None:
-            cached = _gauge_canonical_bytes(self)
-            object.__setattr__(self, "_gkey", cached)
-        return cached
+        return _gauge_canonical_bytes(self)
+
+    @cached_property
+    def _fragments(self) -> dict[int, frozenset[bytes]]:
+        """`fragment_signatures` of this state, by k_min."""
+        return {}
 
     def charged_vertices(self) -> tuple[int, ...]:
         return self.fields.charged_vertices()
@@ -256,10 +253,10 @@ class SpaceState:
 
     def with_cell_index(self, cell_index: Sequence[int]) -> "SpaceState":
         twin = SpaceState(self.geometry, self.fields, tuple(cell_index))
-        # Canonical keys ignore the cell index, so the caches carry over.
-        for attr in ("_ckey", "_gkey"):
-            if attr in self.__dict__:
-                object.__setattr__(twin, attr, self.__dict__[attr])
+        # Keys and fragments ignore the cell index, so the memos carry over.
+        for name in ("canonical_key", "gauge_key", "_fragments"):
+            if name in self.__dict__:
+                twin.__dict__[name] = self.__dict__[name]
         return twin
 
     def __eq__(self, other):
@@ -465,40 +462,35 @@ def check_fragment_count(n: int, k: int, name: str = "k_min") -> None:
 
 
 def _connected_subsets(adj: list[set[int]], k: int) -> list[tuple[int, ...]]:
-    """Every connected k-vertex subset exactly once, each grown from its
-    smallest vertex through exclusive neighbours (Wernicke's ESU, 2006).
-    A graph of fewer than k vertices has none, and is not searched."""
+    """Every connected k-vertex subset (k >= 1), in lexicographic order: each
+    of the C(n, k) candidates is tried once, by a search from its smallest
+    vertex that stays inside the candidate, so `check_fragment_count` bounds
+    the work."""
     out: list[tuple[int, ...]] = []
-    if k > len(adj):
-        return out
-
-    def extend(sub: tuple[int, ...], closed: set[int], ext: list[int], root: int) -> None:
-        if len(sub) == k:
-            out.append(sub)
-            return
-        while ext:
-            w = ext.pop()
-            fresh = [u for u in adj[w] if u > root and u not in closed]
-            extend(sub + (w,), closed | adj[w], ext + fresh, root)
-
-    for v in range(len(adj)):
-        extend((v,), adj[v] | {v}, [u for u in adj[v] if u > v], v)
+    for subset in combinations(range(len(adj)), k):
+        members = set(subset)
+        reached = {subset[0]}
+        todo = [subset[0]]
+        while todo:
+            fresh = (adj[todo.pop()] & members) - reached
+            reached |= fresh
+            todo.extend(fresh)
+        if len(reached) == k:
+            out.append(subset)
     return out
-
-
-_FRAGMENT_CACHE: dict[tuple[bytes, int], frozenset[bytes]] = {}
-_FRAGMENT_CACHE_MAX = 500_000
 
 
 def fragment_signatures(state: SpaceState, k_min: int) -> frozenset[bytes]:
     """The state's gauge key (tagged b"g") and the canonical key of every
     connected induced k_min-vertex fragment (tagged b"f"). Fragments of one
-    or two vertices are keyed in closed form, the others by the general
-    search. Memoized on the canonical key; raises FragmentLimitExceeded
-    before enumerating when C(n, k_min) exceeds FRAGMENT_LIMIT."""
-    key = (state.canonical_key, k_min)
-    cached = _FRAGMENT_CACHE.get(key)
+    or two vertices are keyed in closed form, the others by trying each of
+    the C(n, k_min) candidate subsets. Memoized on the state; raises
+    FragmentLimitExceeded before enumerating when C(n, k_min) exceeds
+    FRAGMENT_LIMIT, so the limit bounds the work."""
+    cached = state._fragments.get(k_min)
     if cached is None:
+        if k_min < 1:
+            raise ValueError("k_min must be >= 1")
         check_fragment_count(state.n, k_min)
         label_text, label_rank, edges = _int_form(state)
         sigs = {b"g" + state.gauge_key}
@@ -521,10 +513,7 @@ def fragment_signatures(state: SpaceState, k_min: int) -> frozenset[bytes]:
                 sub_edges = [(pos[i], pos[j], t, r) for i, j, t, r in edges if i in pos and j in pos]
                 sub_text = [label_text[v] for v in pos]
                 sigs.add(b"f" + _label_form(sub_text, [label_rank[v] for v in pos], sub_edges))
-        cached = frozenset(sigs)
-        if len(_FRAGMENT_CACHE) >= _FRAGMENT_CACHE_MAX:
-            _FRAGMENT_CACHE.clear()
-        _FRAGMENT_CACHE[key] = cached
+        cached = state._fragments[k_min] = frozenset(sigs)
     return cached
 
 
@@ -631,7 +620,7 @@ def ssg1_loads(text: str, first_line: int = 1) -> SpaceState:
             if parts[0] != "v" or len(parts) != 5:
                 raise ValueError("not a 'v' or 'e' record")
             vertex = int(parts[1])
-            record = VertexField(int(parts[2]), _number(parts[3]), Phase.from_turns(_number(parts[4])))
+            record = VertexField(int(parts[2]), _number(parts[3]), _number(parts[4]))
         except (ValueError, ZeroDivisionError) as exc:
             detail = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
             raise ValueError(f"bad SSG1 record {at} ({detail})") from None

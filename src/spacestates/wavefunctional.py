@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .macrostates import MacroPartition
-from .spacegraph import TWO_PI, Phase, SpaceState, canonicalize
+from .spacegraph import TWO_PI, Phase, SpaceState, canonicalize, ssg1_dumps, ssg1_loads
 
 PRUNE_TOLERANCE = 1e-14
 
@@ -134,9 +134,6 @@ class DensitizedView:
     def sorted_keys(self) -> list[EntryKey]:
         return sorted(self.entries)
 
-    def total_sq_weight(self) -> float:
-        return sum(self.entries[k][1] ** 2 for k in self.sorted_keys())
-
     def absorbed_state(self, key: EntryKey) -> SpaceState:
         """The entry's state with its phase theta absorbed into the global
         U(1) gauge: every charged phase shifted by theta. It has the stored
@@ -230,8 +227,6 @@ def restricted_sq_norm(view: DensitizedView, partition: MacroPartition, alpha: s
 
 
 def wfn1_dumps(psi: Wavefunctional) -> str:
-    from .spacegraph import ssg1_dumps
-
     lines = [f"WFN1 epoch={psi.epoch} entries={len(psi.entries)}"]
     for key in psi.sorted_keys():
         state, amp = psi.entries[key]
@@ -245,8 +240,6 @@ def wfn1_dumps(psi: Wavefunctional) -> str:
 
 def wfn1_loads(text: str) -> Wavefunctional:
     """Parse WFN1 text. Every error names the 1-based line at fault."""
-    from .spacegraph import ssg1_loads
-
     lines = text.splitlines()
     if not lines or not lines[0].startswith("WFN1"):
         raise ValueError("missing WFN1 header on line 1")

@@ -1,7 +1,7 @@
 import hashlib
+import itertools
 import random
 import re
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -345,6 +345,8 @@ class TestAssociability:
         a = uniform_path(2)
         with pytest.raises(ValueError):
             classify_associability(a, a, 0)
+        with pytest.raises(ValueError, match="k_min must be >= 1"):
+            spacegraph.fragment_signatures(a, 0)
 
     def test_verdict_exact_above_exact_subgraph_limit(self):
         # Both states hold the same connected induced 4-vertex region, so
@@ -387,7 +389,6 @@ class TestFragmentSignatures:
                 check(self)
 
             monkeypatch.setattr(cls, "__post_init__", counting)
-        monkeypatch.setattr(spacegraph, "_FRAGMENT_CACHE", {})
         for k in (1, 2, 3, 4):
             assert len(spacegraph.fragment_signatures(state, k)) > 1
         assert built == []
@@ -397,22 +398,34 @@ class TestFragmentSignatures:
         edge = path_state([(2, 1, 0), (1, 1, 0)], [1])
         assert spacegraph.fragment_signatures(a, 2) == {b"g" + a.gauge_key, b"f" + edge.canonical_key}
 
-    def test_state_smaller_than_k_has_no_fragment(self):
+    @pytest.fixture
+    def tried(self, monkeypatch):
+        """The candidate subsets `fragment_signatures` tries, in order."""
+        out = []
+
+        def counting(items, k):
+            for subset in itertools.combinations(items, k):
+                out.append(subset)
+                yield subset
+
+        monkeypatch.setattr(spacegraph, "combinations", counting)
+        return out
+
+    def test_state_smaller_than_k_has_no_fragment(self, tried):
         k16 = clique(16)
         assert spacegraph.fragment_signatures(k16, 17) == {b"g" + k16.gauge_key}
-        calls = []
+        assert tried == []
 
-        def profile(frame, event, _arg):
-            if event == "call" and frame.f_code.co_name == "extend":
-                calls.append(event)
-
-        adj = [set(range(16)) - {v} for v in range(16)]
-        sys.setprofile(profile)
-        try:
-            subsets = spacegraph._connected_subsets(adj, 17)
-        finally:
-            sys.setprofile(None)
-        assert subsets == [] and calls == []
+    def test_dense_state_tries_only_its_candidates(self, tried):
+        # The work is the C(n, k) candidates that check_fragment_count
+        # bounds, not every connected subset smaller than k (about 2^n).
+        spacegraph.fragment_signatures(clique(18), 17)
+        assert len(tried) == 18
+        tried.clear()
+        k30 = clique(30)
+        sigs = spacegraph.fragment_signatures(k30, 29)
+        assert sigs == {b"g" + k30.gauge_key, b"f" + clique(29).canonical_key}
+        assert len(tried) == 30
 
     def test_limit_refused_before_enumerating(self, monkeypatch):
         def fail(*_args):
