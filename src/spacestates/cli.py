@@ -5,10 +5,13 @@ rejected). Identical config and seed produce byte-identical artifacts: all
 floats are serialized as shortest round-trip decimals, every collection is
 emitted in sorted order, and no timestamps enter any file.
 
-Exit codes: 0 ok, 1 config error (including `max_dim`, `epochs` or `steps`
-above its limit, and a k_min whose fragment count on the expanded basis
-exceeds `spacegraph.FRAGMENT_LIMIT`), 2 rule file error, 3 truncation
-refused, 4 numerical failure, 5 verification failure.
+Exit codes: 0 ok, 1 config error (including a value of the wrong type, in
+the file or in an override, `max_dim`, `epochs`, `steps`, `samples` or
+`verify_corpus` above its limit, and a k_min whose fragment count on the
+expanded basis exceeds `spacegraph.FRAGMENT_LIMIT`), 2 rule file error,
+3 truncation refused, 4 numerical failure (norm drift or non-finite
+amplitudes; `run` allows a boundary leak, since a basis has a boundary only
+when truncation was accepted), 5 verification failure.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -68,54 +72,48 @@ NORM_DRIFT_LIMIT = 1e-8
 MAX_DIM_LIMIT = 2048
 EPOCHS_LIMIT = 1000
 STEPS_LIMIT = 1000
+# Drawing takes about 23 ns a sample, and the verify corpus about 200 us a
+# state, so each limit allows roughly 20 s of work.
+SAMPLES_LIMIT = 10**9
+VERIFY_CORPUS_LIMIT = 100_000
 
 
 class ConfigError(Exception):
     pass
 
 
-_SCHEMA: dict[str, tuple[type, object]] = {
-    # key: (type, default); None default means required.
-    "rules_file": (str, None),
-    "initial_state_file": (str, None),
-    "partition": (dict, None),
-    "k_min": (int, 2),
-    "dt": ((int, float), 0.1),
-    "steps": (int, 1),
-    "epochs": (int, 4),
-    "depth_max": (int, 10),
-    "samples": (int, 100_000),
-    "seed": (int, 0),
-    "out_dir": (str, "out"),
-    "max_dim": (int, 128),
-    "accept_truncation": (bool, False),
-    "horizon": (int, None),
-    "verify_corpus": (int, 200),
-}
-
-
 @dataclass
 class ExperimentConfig:
+    """The config schema: each init field is one config key, with its type
+    and default; a field without a default is a required key. The `key`
+    metadata names the JSON key where it differs from the field name."""
+
     rules_file: str
     initial_state_file: str
-    partition_name: str
-    partition_params: dict
-    k_min: int
-    dt: float
-    steps: int
-    epochs: int
-    depth_max: int
-    samples: int
-    seed: int
-    out_dir: str
-    max_dim: int
-    accept_truncation: bool
-    horizon: int
-    verify_corpus: int
-    base_dir: Path
+    partition_spec: dict = field(metadata={"key": "partition"})
+    k_min: int = 2
+    dt: float = 0.1
+    steps: int = 1
+    epochs: int = 4
+    depth_max: int = 10
+    samples: int = 100_000
+    seed: int = 0
+    out_dir: str = "out"
+    max_dim: int = 128
+    accept_truncation: bool = False
+    # Absent means `epochs`; JSON null is refused like any other wrong type.
+    horizon: int | None = None
+    verify_corpus: int = 200
+    base_dir: Path = field(default=Path(), init=False)
+
+    def __post_init__(self) -> None:
+        if self.horizon is None:
+            self.horizon = self.epochs
 
     @classmethod
     def from_file(cls, path: str, overrides: dict | None = None) -> "ExperimentConfig":
+        """Read, type-check and validate a config; `overrides` replace file
+        keys and pass the same checks."""
         p = Path(path)
         try:
             raw = json.loads(p.read_text())
@@ -125,26 +123,20 @@ class ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = sorted(set(raw) - set(_SCHEMA))
+        raw.update(overrides or {})
+        keys = {_key(f): f for f in fields(cls) if f.init}
+        unknown = sorted(set(raw) - set(keys))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        types = get_type_hints(cls)
         values: dict = {}
-        for key, (typ, default) in _SCHEMA.items():
+        for key, f in keys.items():
             if key in raw:
-                value = raw[key]
-                if typ is int and isinstance(value, bool):
-                    raise ConfigError(f"bad type for {key}")
-                if not isinstance(value, typ):
-                    raise ConfigError(f"bad type for {key}: expected {typ}, got {type(value).__name__}")
-                values[key] = value
-            elif default is not None or key == "horizon":
-                values[key] = default
-            else:
+                values[f.name] = _checked(key, raw[key], types[f.name])
+            elif f.default is MISSING:
                 raise ConfigError(f"missing required config key: {key}")
-        for key, value in (overrides or {}).items():
-            values[key] = value
 
-        part = values["partition"]
+        part = values["partition_spec"]
         unknown_part = sorted(set(part) - {"name", "params"})
         if unknown_part:
             raise ConfigError(f"unknown partition keys: {', '.join(unknown_part)}")
@@ -153,26 +145,10 @@ class ExperimentConfig:
         params = part.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("partition.params must be an object")
+        values["partition_spec"] = {"name": part["name"], "params": params}
 
-        cfg = cls(
-            rules_file=values["rules_file"],
-            initial_state_file=values["initial_state_file"],
-            partition_name=part["name"],
-            partition_params=params,
-            k_min=values["k_min"],
-            dt=float(values["dt"]),
-            steps=values["steps"],
-            epochs=values["epochs"],
-            depth_max=values["depth_max"],
-            samples=values["samples"],
-            seed=values["seed"],
-            out_dir=values["out_dir"],
-            max_dim=values["max_dim"],
-            accept_truncation=values["accept_truncation"],
-            horizon=values["horizon"] if values["horizon"] is not None else values["epochs"],
-            verify_corpus=values["verify_corpus"],
-            base_dir=p.parent,
-        )
+        cfg = cls(**values)
+        cfg.base_dir = p.parent
         cfg.validate()
         return cfg
 
@@ -183,11 +159,11 @@ class ExperimentConfig:
             (1 <= self.steps <= STEPS_LIMIT, f"steps must be in [1, {STEPS_LIMIT}]"),
             (0 <= self.epochs <= EPOCHS_LIMIT, f"epochs must be in [0, {EPOCHS_LIMIT}]"),
             (0 <= self.depth_max <= 24, "depth_max must be in [0, 24]"),
-            (self.samples >= 1, "samples must be >= 1"),
+            (1 <= self.samples <= SAMPLES_LIMIT, f"samples must be in [1, {SAMPLES_LIMIT}]"),
             (self.seed >= 0, "seed must be >= 0"),
             (1 <= self.max_dim <= MAX_DIM_LIMIT, f"max_dim must be in [1, {MAX_DIM_LIMIT}]"),
             (self.horizon >= 0, "horizon must be >= 0"),
-            (self.verify_corpus >= 0, "verify_corpus must be >= 0"),
+            (0 <= self.verify_corpus <= VERIFY_CORPUS_LIMIT, f"verify_corpus must be in [0, {VERIFY_CORPUS_LIMIT}]"),
         ]
         for ok, message in checks:
             if not ok:
@@ -195,27 +171,16 @@ class ExperimentConfig:
 
     def partition(self) -> MacroPartition:
         try:
-            return partition_by_name(self.partition_name, self.partition_params)
+            return partition_by_name(self.partition_spec["name"], self.partition_spec["params"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad partition: {exc}") from exc
 
     def resolved(self) -> dict:
-        return {
-            "rules_file": self.rules_file,
-            "initial_state_file": self.initial_state_file,
-            "partition": {"name": self.partition_name, "params": self.partition_params},
-            "k_min": self.k_min,
-            "dt": repr(self.dt),
-            "steps": self.steps,
-            "epochs": self.epochs,
-            "depth_max": self.depth_max,
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_dim": self.max_dim,
-            "accept_truncation": self.accept_truncation,
-            "horizon": self.horizon,
-            "verify_corpus": self.verify_corpus,
-        }
+        """Every config key but `out_dir`, as hashed into the manifest; `dt`
+        is written as its repr."""
+        out = {_key(f): getattr(self, f.name) for f in fields(self) if f.init and f.name != "out_dir"}
+        out["dt"] = repr(self.dt)
+        return out
 
     def sha256(self) -> str:
         blob = json.dumps(self.resolved(), sort_keys=True).encode("utf-8")
@@ -224,6 +189,21 @@ class ExperimentConfig:
     def resolve_path(self, relative: str) -> Path:
         p = Path(relative)
         return p if p.is_absolute() else self.base_dir / p
+
+
+def _key(f: Field) -> str:
+    return f.metadata.get("key", f.name)
+
+
+def _checked(key: str, value, typ):
+    """`value` if it has type `typ`, an int widened to float where a float is
+    expected; bool is not an int here, and null is no value."""
+    if typ is float and type(value) is int:
+        value = float(value)
+    if value is None or isinstance(value, bool) != (typ is bool) or not isinstance(value, typ):
+        name = getattr(typ, "__name__", typ)
+        raise ConfigError(f"bad type for {key}: expected {name}, got {type(value).__name__}")
+    return value
 
 
 def _load_inputs(config: ExperimentConfig):

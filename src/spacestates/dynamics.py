@@ -18,7 +18,6 @@ matrix exponential on that truncated basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -227,14 +226,12 @@ class Generator:
 
 @dataclass(frozen=True)
 class _Structure:
-    """The coupling-free part of an expansion: the basis, its index, the
-    boundary and every in-basis application as (src, dst, rule position),
-    in the order the breadth-first search made them. Together the
-    applications of rule position r are the rule term A_r in coordinate form.
-    The index is read-only because every re-weighted Generator shares it."""
+    """The coupling-free part of an expansion: the basis, the boundary and
+    every in-basis application as (src, dst, rule position), in the order
+    the breadth-first search made them. Together the applications of rule
+    position r are the rule term A_r in coordinate form."""
 
     basis: tuple[SpaceState, ...]
-    index: Mapping[EntryKey, int]
     boundary: frozenset[int]
     applications: tuple[tuple[int, int, int], ...]
 
@@ -292,9 +289,7 @@ def _expand_structure(
             boundary.add(src)
         else:
             applications.append((src, dst, pos))
-    return _Structure(
-        tuple(basis), MappingProxyType(index), frozenset(boundary), tuple(applications)
-    )
+    return _Structure(tuple(basis), frozenset(boundary), tuple(applications))
 
 
 def expand_reachable(
@@ -341,9 +336,7 @@ def expand_reachable(
     for src, dst, pos in structure.applications:
         matrix[src, dst] += couplings[pos]
         matrix[dst, src] += couplings[pos]
-    gen = Generator(structure.basis, matrix, structure.boundary)
-    object.__setattr__(gen, "_index", structure.index)
-    return gen
+    return Generator(structure.basis, matrix, structure.boundary)
 
 
 def evolve(

@@ -79,19 +79,15 @@ def degree_histogram_partition(buckets: int = 8) -> MacroPartition:
     )
 
 
-def builtin_classifiers() -> list[MacroPartition]:
-    return [
-        vertex_count_partition(),
-        total_matter_partition(),
-        degree_histogram_partition(),
-    ]
-
-
 _BUILTINS: dict[str, Callable[..., MacroPartition]] = {
     "vertex_count": vertex_count_partition,
     "total_matter": total_matter_partition,
     "degree_histogram": degree_histogram_partition,
 }
+
+
+def builtin_classifiers() -> list[MacroPartition]:
+    return [factory() for factory in _BUILTINS.values()]
 
 
 def partition_by_name(name: str, params: dict | None = None) -> MacroPartition:

@@ -264,6 +264,8 @@ def wfn1_loads(text: str) -> Wavefunctional:
                 raise ValueError("cell bits must be 0s and 1s, or '-'")
             bits = () if parts[2] == "-" else tuple(int(c) for c in parts[2])
             amp = complex(float(parts[3]), float(parts[4]))
+            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+                raise ValueError("amplitude must be finite")
         except ValueError as exc:
             raise ValueError(f"bad WFN1 record on line {at}: {lines[i]!r} ({exc})") from None
         block = []

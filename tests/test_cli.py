@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spacestates import Wavefunctional, wfn1_loads
-from spacestates.cli import ConfigError, ExperimentConfig, main
+from spacestates.cli import SAMPLES_LIMIT, VERIFY_CORPUS_LIMIT, ConfigError, ExperimentConfig, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -75,6 +76,9 @@ class TestConfigParsing:
             {"max_dim": 2049},
             {"epochs": 1001},
             {"steps": 1001},
+            {"samples": SAMPLES_LIMIT + 1},
+            {"verify_corpus": VERIFY_CORPUS_LIMIT + 1},
+            {"horizon": None},
         ):
             path = write_config(tmp_path, **bad)
             assert invoke("run", str(path)) == 1, bad
@@ -89,6 +93,38 @@ class TestConfigParsing:
     def test_bool_not_accepted_as_int(self, tmp_path):
         path = write_config(tmp_path, seed=True)
         assert invoke("run", str(path)) == 1
+
+    def test_override_of_wrong_type_names_the_key(self, tmp_path):
+        path = str(write_config(tmp_path))
+        for bad in ({"seed": "x"}, {"seed": True}, {"out_dir": 3}, {"horizon": None}, {"dt": "0.1"}):
+            with pytest.raises(ConfigError, match=f"bad type for {next(iter(bad))}"):
+                ExperimentConfig.from_file(path, bad)
+
+    def test_every_key_but_out_dir_enters_the_hash(self, tmp_path):
+        changed = {
+            "rules_file": "other.rul",
+            "initial_state_file": "other.ssg",
+            "partition": {"name": "vertex_count"},
+            "k_min": 3,
+            "dt": 0.25,
+            "steps": 2,
+            "epochs": 5,
+            "depth_max": 7,
+            "samples": 99,
+            "seed": 8,
+            "max_dim": 9,
+            "accept_truncation": True,
+            "horizon": 3,
+            "verify_corpus": 5,
+        }
+        keys = {f.metadata.get("key", f.name) for f in fields(ExperimentConfig) if f.init}
+        assert set(changed) == keys - {"out_dir"}
+        base = ExperimentConfig.from_file(str(write_config(tmp_path))).sha256()
+        for key, value in changed.items():
+            config = ExperimentConfig.from_file(str(write_config(tmp_path, **{key: value})))
+            assert config.sha256() != base, key
+        moved = ExperimentConfig.from_file(str(write_config(tmp_path)), {"out_dir": "elsewhere"})
+        assert moved.sha256() == base
 
     def test_negative_seed_exits_1(self, tmp_path, capsys):
         # The sampler's counter-based generator takes only non-negative seeds.
@@ -402,10 +438,11 @@ def test_mutated_reference_initial_state_ends_in_documented_exit_code(tmp_path_f
 
 # JSON values for config fuzzing: wrong types, out-of-range and boundary
 # numbers, a bad partition and a missing file. 2049 is above the validator's
-# limits on max_dim, epochs and steps; no larger integer is drawn, since
-# `samples` has no upper bound and a huge value there costs time.
+# limits on max_dim, epochs and steps, and the two limits plus one are above
+# those on samples and verify_corpus.
 CONFIG_VALUES = (
-    "", "x", "missing.rul", -1, 0, 1, 2, 2049, -0.5, 0.5, 1e308, float("nan"), True, False, None, [], {},
+    "", "x", "missing.rul", -1, 0, 1, 2, 2049, SAMPLES_LIMIT + 1, VERIFY_CORPUS_LIMIT + 1,
+    -0.5, 0.5, 1e308, float("nan"), True, False, None, [], {},
     {"name": "x"}, {"name": "vertex_count"}, {"name": "vertex_count", "params": {"width": 0}},
     {"name": "vertex_count", "params": {"width": "x"}, "extra": 1},
 )

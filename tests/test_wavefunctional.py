@@ -314,7 +314,11 @@ class TestDump:
         lines = wfn1_dumps(psi).splitlines()
         assert lines[0].endswith(" entries=4") and lines[1].startswith("entry ")
         key = lines[1].split()[1]
+        record = lines[1].split()[:3]
+        nan_entry, inf_entry = " ".join(record + ["nan", "0.0"]), " ".join(record + ["0.0", "inf"])
         for text, message in (
+            (wfn1_dumps(psi).replace(lines[1], nan_entry, 1), "line 2: .*amplitude must be finite"),
+            (wfn1_dumps(psi).replace(lines[1], inf_entry, 1), "line 2: .*amplitude must be finite"),
             (wfn1_dumps(psi).replace(key, "zz", 1), "key on line 2 does not match"),
             (wfn1_dumps(psi).replace(" entries=4", " entries=5", 1), "line 1 says entries=5, but 4"),
             (wfn1_dumps(psi).replace(" entries=4", "", 1), "bad WFN1 header on line 1"),
