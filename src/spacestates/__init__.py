@@ -28,7 +28,6 @@ from .dynamics import (
     NumericalFailure,
     RewriteRule,
     RuleFileError,
-    SupportEscape,
     TruncationExceeded,
     apply_rule,
     evolve,

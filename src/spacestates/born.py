@@ -53,11 +53,12 @@ class Refinement:
     scale: int
     items: list[tuple[EntryKey, int]]
     states: dict[EntryKey, SpaceState]
-    _spans: dict[str, list[tuple[str, int, int]]] = field(default_factory=dict, repr=False)
+    _spans: dict[MacroPartition, list[tuple[str, int, int]]] = field(default_factory=dict, repr=False)
 
     def spans(self, partition: MacroPartition) -> list[tuple[str, int, int]]:
-        """Maximal runs of one label along the line, as (label, a, b)."""
-        spans = self._spans.get(partition.name)
+        """Maximal runs of one label along the line, as (label, a, b),
+        memoized per partition object (classifiers compare by identity)."""
+        spans = self._spans.get(partition)
         if spans is None:
             spans = []
             lo = 0
@@ -68,7 +69,7 @@ class Refinement:
                 else:
                     spans.append((label, lo, lo + weight))
                 lo += weight
-            self._spans[partition.name] = spans
+            self._spans[partition] = spans
         return spans
 
 

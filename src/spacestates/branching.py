@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -291,12 +290,10 @@ def branch_events_jsonl(tree: BranchTree) -> str:
 # ---------------------------------------------------------------------------
 
 
-def degenerate_initial_state(
-    n_vertices: int = 2, species_tag: int = 1, matter: int = 1
-) -> SpaceState:
+def degenerate_initial_state(n_vertices: int = 2) -> SpaceState:
     """The unique maximally degenerate state: a path with all edge lengths
-    zero and identical fields on every vertex."""
-    fields = {v: (species_tag, Fraction(matter), Fraction(0)) for v in range(n_vertices)}
+    zero and identical fields (species 1, matter 1, phase 0) on every vertex."""
+    fields = {v: (1, 1, 0) for v in range(n_vertices)}
     edges = [(v, v + 1, 0) for v in range(n_vertices - 1)]
     return SpaceState.build(fields, edges)
 
@@ -330,6 +327,10 @@ def _direction_stats(tree: BranchTree) -> DirectionStats:
     )
 
 
+# Largest relative change the experiment's seed makes to a rule coupling.
+COUPLING_JITTER = 0.1
+
+
 def asymmetry_experiment(
     rules: list[RewriteRule],
     partition: MacroPartition,
@@ -338,17 +339,17 @@ def asymmetry_experiment(
     *,
     initial_state: SpaceState | None = None,
     dt: float = 0.25,
-    steps: int = 1,
     max_dim: int = 96,
     k_min: int = 2,
-    coupling_jitter: float = 0.1,
 ) -> AsymmetrySummary:
     """Run the branching experiment forward from the degenerate initial state
     and backward from the final support, reporting per-epoch branch counts,
     branch entropies, and merge (reassociation) counts for both directions.
+    Each epoch is one step of exp(-i * H * dt) forward and of
+    exp(+i * H * dt) backward, on a basis truncated at max_dim.
 
-    The seed perturbs each rule coupling by up to +-coupling_jitter
-    (multiplicatively) through a counter-based generator, modeling ignorance
+    The seed perturbs each rule coupling by up to +-COUPLING_JITTER (10%,
+    multiplicatively) through a counter-based generator, modeling ignorance
     of the microscopic couplings; the initial state itself is always the
     exact degenerate state, so the forward run has a unique root.
     """
@@ -358,7 +359,7 @@ def asymmetry_experiment(
         raise ValueError("initial state must be degenerate (zero lengths, homogeneous fields)")
     rng = np.random.Generator(np.random.Philox(seed))
     jittered = [
-        rule.with_coupling(rule.coupling * (1.0 + coupling_jitter * (2.0 * rng.random() - 1.0)))
+        rule.with_coupling(rule.coupling * (1.0 + COUPLING_JITTER * (2.0 * rng.random() - 1.0)))
         for rule in sorted(rules, key=lambda r: r.rule_id)
     ]
     psi0 = Wavefunctional.from_states([(initial_state, 1.0 + 0j)])
@@ -366,10 +367,10 @@ def asymmetry_experiment(
 
     forward = [psi0]
     for _ in range(epochs):
-        forward.append(evolve(forward[-1], gen, dt, steps, allow_boundary_leak=True))
+        forward.append(evolve(forward[-1], gen, dt, 1))
     backward = [forward[-1]]
     for _ in range(epochs):
-        backward.append(evolve(backward[-1], gen, -dt, steps, allow_boundary_leak=True))
+        backward.append(evolve(backward[-1], gen, -dt, 1))
 
     tree_f = track(forward, partition, k_min)
     tree_b = track(backward, partition, k_min)

@@ -9,9 +9,9 @@ Exit codes: 0 ok, 1 config error (including a value of the wrong type, in
 the file or in an override, `max_dim`, `epochs`, `steps`, `samples` or
 `verify_corpus` above its limit, and a k_min whose fragment count on the
 expanded basis exceeds `spacegraph.FRAGMENT_LIMIT`), 2 rule file error,
-3 truncation refused, 4 numerical failure (norm drift or non-finite
-amplitudes; `run` allows a boundary leak, since a basis has a boundary only
-when truncation was accepted), 5 verification failure.
+3 truncation refused (the reachable closure passes `max_dim` without
+`accept_truncation`), 4 numerical failure (norm drift or non-finite
+amplitudes), 5 verification failure.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .dynamics import (
     Generator,
     NumericalFailure,
     RuleFileError,
-    SupportEscape,
     TruncationExceeded,
     evolve,
     expand_reachable,
@@ -237,9 +236,7 @@ def run(config: ExperimentConfig) -> dict[str, str]:
 
     series = [psi0]
     for _ in range(config.epochs):
-        nxt = evolve(
-            series[-1], gen, config.dt, config.steps, allow_boundary_leak=config.accept_truncation
-        )
+        nxt = evolve(series[-1], gen, config.dt, config.steps)
         drift = abs(norm(nxt) - 1.0)
         if drift > NORM_DRIFT_LIMIT:
             raise NumericalFailure(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}")
@@ -508,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
     except TruncationExceeded as exc:
         print(f"truncation refused: {exc}", file=sys.stderr)
         return 3
-    except (NumericalFailure, SupportEscape) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -60,17 +60,14 @@ def random_relabeling(rng: random.Random, state: SpaceState) -> SpaceState:
     )
 
 
-def random_wavefunctional(
-    rng: random.Random,
-    n_entries: int = 8,
-    charged_only: bool = True,
-    **state_kwargs,
-) -> Wavefunctional:
+def random_wavefunctional(rng: random.Random, n_entries: int = 8) -> Wavefunctional:
+    """A normalized wavefunctional on `n_entries` distinct random states,
+    each with at least one charged vertex."""
     pairs = []
     seen = set()
     while len(pairs) < n_entries:
-        state = random_space_state(rng, **state_kwargs)
-        if charged_only and not state.charged_vertices():
+        state = random_space_state(rng)
+        if not state.charged_vertices():
             continue
         key = (state.canonical_key, state.cell_index)
         if key in seen:

@@ -22,7 +22,6 @@ from .spacegraph import SpaceState, as_fraction
 class MacroPartition:
     name: str
     classifier: Callable[[SpaceState], str]
-    description: str = ""
     # Explicit label universe; None means the label set is open-ended.
     labels: frozenset[str] | None = None
 
@@ -38,11 +37,7 @@ def vertex_count_partition(width: int = 4) -> MacroPartition:
         lo = (state.n // width) * width
         return f"{lo}-{lo + width - 1}" if width > 1 else str(lo)
 
-    return MacroPartition(
-        name=f"vertex_count(width={width})",
-        classifier=classify,
-        description=f"buckets of {width} by vertex count",
-    )
+    return MacroPartition(name=f"vertex_count(width={width})", classifier=classify)
 
 
 def total_matter_partition(grid: object = 1) -> MacroPartition:
@@ -55,11 +50,7 @@ def total_matter_partition(grid: object = 1) -> MacroPartition:
         idx = (total / step + Fraction(1, 2)).__floor__()
         return f"matter_{idx * step}"
 
-    return MacroPartition(
-        name=f"total_matter(grid={step})",
-        classifier=classify,
-        description=f"total matter amplitude rounded to a grid of {step}",
-    )
+    return MacroPartition(name=f"total_matter(grid={step})", classifier=classify)
 
 
 def degree_histogram_partition(buckets: int = 8) -> MacroPartition:
@@ -74,7 +65,6 @@ def degree_histogram_partition(buckets: int = 8) -> MacroPartition:
     return MacroPartition(
         name=f"degree_histogram(buckets={buckets})",
         classifier=classify,
-        description=f"sha256 of the sorted degree histogram, {buckets} buckets",
         labels=frozenset(f"deg_{k}" for k in range(buckets)),
     )
 

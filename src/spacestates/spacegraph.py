@@ -49,10 +49,6 @@ class Phase:
         object.__setattr__(self, "turns", turns)
 
     @classmethod
-    def from_turns(cls, turns) -> "Phase":
-        return cls(turns)
-
-    @classmethod
     def from_radians(cls, radians: float) -> "Phase":
         # Fraction(float) is exact, so the resulting turn count is an exact
         # dyadic rational and shift/unshift round-trips are bit-exact.
@@ -139,7 +135,7 @@ class VertexField:
             raise ValueError("matter_amplitude must be non-negative")
         object.__setattr__(self, "matter_amplitude", matter)
         if not isinstance(self.u1_phase, Phase):
-            object.__setattr__(self, "u1_phase", Phase.from_turns(self.u1_phase))
+            object.__setattr__(self, "u1_phase", Phase(self.u1_phase))
 
     @property
     def charged(self) -> bool:

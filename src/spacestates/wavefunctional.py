@@ -274,6 +274,8 @@ def wfn1_loads(text: str) -> Wavefunctional:
         while i < len(lines) and lines[i].strip() != "end":
             block.append(lines[i])
             i += 1
+        if i == len(lines):
+            raise ValueError(f"WFN1 entry on line {at} ends before its 'end' line")
         i += 1
         state = ssg1_loads("\n".join(block), first_line=first + 1).with_cell_index(bits)
         # The key is labeled here once and reused by `from_states`.

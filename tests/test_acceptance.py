@@ -302,7 +302,7 @@ def test_criterion_09_branching_structure():
     gen = expand(psi0, rules, config.max_dim, accept_truncation=True)
     series = [psi0]
     for _ in range(config.epochs):
-        series.append(evolve(series[-1], gen, config.dt, config.steps, allow_boundary_leak=True))
+        series.append(evolve(series[-1], gen, config.dt, config.steps))
     tree = track(series, part, config.k_min)
     assert len(tree.roots) == 1
     for event in tree.events:

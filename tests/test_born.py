@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from scipy import stats
 
 from spacestates import (
     DepthExceeded,
+    MacroPartition,
     Wavefunctional,
     build_refinement,
     count_estimate,
@@ -180,6 +182,14 @@ class TestCountEstimate:
                 assert abs(lc.estimate - lc.exact) <= lc.bound
             bounds.append(Fraction(report.straddlers, 2**depth))
         assert all(b1 <= b0 for b0, b1 in zip(bounds, bounds[1:]))
+
+    def test_partitions_sharing_a_name_count_apart(self):
+        view = gauge_absorb(random_wavefunctional(random.Random(1), 8))
+        tree = build_refinement(view, 4)
+        by_size = MacroPartition("p", lambda s: "small" if s.n < 6 else "big")
+        count_estimate(tree, by_size, 4)
+        report = count_estimate(tree, MacroPartition("p", lambda s: "x"), 4)
+        assert [(lc.label, lc.n_alpha) for lc in report.per_label] == [("x", 16)]
 
     def test_depth_beyond_tree_rejected(self):
         tree = build_refinement(view_of([(uniform_path(2), 1.0)]), 2)

@@ -276,7 +276,7 @@ class TestAsymmetryExperiment:
         gen = expand_reachable(psi0, rules, 48, accept_truncation=True)
         series = [psi0]
         for _ in range(4):
-            series.append(evolve(series[-1], gen, 0.2, 1, allow_boundary_leak=True))
+            series.append(evolve(series[-1], gen, 0.2, 1))
         tree = track(series, part, k_min=2)
 
         adjacency = {i: set() for i in range(gen.dim)}
@@ -320,10 +320,10 @@ def reference_series(max_dim):
     forward = [normalize(Wavefunctional.from_states([(initial, 1.0)]))]
     gen = expand_reachable(forward[0], rules, max_dim, accept_truncation=True)
     for _ in range(6):
-        forward.append(evolve(forward[-1], gen, 0.2, 1, allow_boundary_leak=True))
+        forward.append(evolve(forward[-1], gen, 0.2, 1))
     backward = [forward[-1]]
     for _ in range(6):
-        backward.append(evolve(backward[-1], gen, -0.2, 1, allow_boundary_leak=True))
+        backward.append(evolve(backward[-1], gen, -0.2, 1))
     return forward, backward
 
 

@@ -252,7 +252,13 @@ class TestRun:
         huge_rules.write_text(rules.replace("rule 0 0.5", "rule 0 1e308"))
         path = write_config(tmp_path, rules_file=str(huge_rules))
         assert invoke("run", str(path)) == 4
-        assert "not finite" in capsys.readouterr().err
+        assert "not finite (dt 0.3, largest |H| entry 1.000e+308)" in capsys.readouterr().err
+
+    def test_norm_drift_exits_4_and_writes_nothing(self, tmp_path, capsys):
+        path = write_config(tmp_path, dt=1e12)
+        assert invoke("run", str(path)) == 4
+        assert re.search(r"norm drift \S+ exceeds 1e-08", capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_too_many_fragments_exits_1(self, tmp_path, capsys):
         # K20 matches no rule, so the basis is K20 alone; branch tracking at

@@ -15,7 +15,6 @@ from spacestates import (
     RewriteRule,
     RuleFileError,
     SpaceState,
-    SupportEscape,
     TruncationExceeded,
     Wavefunctional,
     apply_rule,
@@ -185,7 +184,8 @@ def assert_matches_naive_enumerator(seed, rules):
     """The closure has 9 states; smaller max_dim values truncate it at every
     possible size, and at each the generator equals the oracle's matrix
     restricted to the truncated basis, and the boundary is the set of basis
-    states with a result outside it."""
+    states with a result outside it. Below the closure size truncation is
+    refused unless accepted, so only an accepted truncation has a boundary."""
     oracle_basis, oracle_matrix = naive_closure([seed], rules)
     assert len(oracle_basis) == 9
     oracle_index = {s: i for i, s in enumerate(oracle_basis)}
@@ -193,6 +193,9 @@ def assert_matches_naive_enumerator(seed, rules):
         psi = Wavefunctional.from_states([(seed, 1.0)])
         gen = expand_reachable(psi, rules, max_dim=max_dim, accept_truncation=max_dim < 9)
         assert gen.dim == min(max_dim, 9)
+        if max_dim < 9:
+            with pytest.raises(TruncationExceeded):
+                expand_reachable(psi, rules, max_dim=max_dim)
         perm = [oracle_index[s] for s in gen.basis]
         restricted = oracle_matrix[np.ix_(perm, perm)]
         assert np.array_equal(gen.matrix, restricted), max_dim
@@ -514,12 +517,11 @@ class TestEvolve:
         for key in psi.entries:
             assert abs(back.entries[key][1] - psi.entries[key][1]) <= 1e-9
 
-    def test_support_escape_on_truncated_boundary(self):
+    def test_norm_kept_on_truncated_boundary(self):
         psi = Wavefunctional.from_states([(uniform_path(2), 1.0)])
         gen = expand_reachable(psi, [grow_rule()], max_dim=3, accept_truncation=True)
-        with pytest.raises(SupportEscape):
-            evolve(psi, gen, dt=0.5, steps=10)
-        out = evolve(psi, gen, dt=0.5, steps=10, allow_boundary_leak=True)
+        assert gen.boundary
+        out = evolve(psi, gen, dt=0.5, steps=10)
         assert abs(norm(out) - 1.0) <= 1e-10
 
     def test_support_outside_basis_rejected(self):

@@ -314,6 +314,7 @@ class TestDump:
         lines = wfn1_dumps(psi).splitlines()
         assert lines[0].endswith(" entries=4") and lines[1].startswith("entry ")
         key = lines[1].split()[1]
+        last_entry = max(i for i, line in enumerate(lines, 1) if line.startswith("entry "))
         record = lines[1].split()[:3]
         nan_entry, inf_entry = " ".join(record + ["nan", "0.0"]), " ".join(record + ["0.0", "inf"])
         for text, message in (
@@ -323,6 +324,7 @@ class TestDump:
             (wfn1_dumps(psi).replace(" entries=4", " entries=5", 1), "line 1 says entries=5, but 4"),
             (wfn1_dumps(psi).replace(" entries=4", "", 1), "bad WFN1 header on line 1"),
             ("\n".join(lines[: lines.index("end") + 1]) + "\n", "line 1 says entries=4, but 1"),
+            ("\n".join(lines[:-1]) + "\n", f"entry on line {last_entry} ends before its 'end' line"),
         ):
             with pytest.raises(ValueError, match=message):
                 wfn1_loads(text)
