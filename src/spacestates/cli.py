@@ -174,15 +174,18 @@ class ExperimentConfig:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad partition: {exc}") from exc
 
-    def resolved(self) -> dict:
-        """Every config key but `out_dir`, as hashed into the manifest; `dt`
-        is written as its repr."""
+    def resolved(self, input_sha256: dict[str, str]) -> dict:
+        """Every config key but `out_dir`, as hashed into the manifest: `dt`
+        is written as its repr, and `rules_file` and `initial_state_file` as
+        the SHA-256 of the file's bytes, given in `input_sha256` by key, so
+        that the hash names the inputs run, not the paths they were read from."""
         out = {_key(f): getattr(self, f.name) for f in fields(self) if f.init and f.name != "out_dir"}
         out["dt"] = repr(self.dt)
+        out.update(input_sha256)
         return out
 
-    def sha256(self) -> str:
-        blob = json.dumps(self.resolved(), sort_keys=True).encode("utf-8")
+    def sha256(self, input_sha256: dict[str, str]) -> str:
+        blob = json.dumps(self.resolved(input_sha256), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
     def resolve_path(self, relative: str) -> Path:
@@ -206,25 +209,33 @@ def _checked(key: str, value, typ):
 
 
 def _load_inputs(config: ExperimentConfig):
+    """The initial state, the rules, and the SHA-256 of each input file's
+    bytes by config key, each file read once."""
     initial_path = config.resolve_path(config.initial_state_file)
     try:
-        initial = ssg1_loads(initial_path.read_text())
+        initial_bytes = initial_path.read_bytes()
+        initial = ssg1_loads(initial_bytes.decode("utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load initial state {initial_path}: {exc}") from exc
     rules_path = config.resolve_path(config.rules_file)
     try:
-        rules = rul1_loads(rules_path.read_text())
-    except OSError as exc:
+        rules_bytes = rules_path.read_bytes()
+        rules = rul1_loads(rules_bytes.decode("utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise RuleFileError(f"cannot read rules file: {exc}") from exc
     except RuleFileError as exc:
         raise RuleFileError(f"{rules_path}: {exc}") from exc
-    return initial, rules
+    digests = {
+        "initial_state_file": hashlib.sha256(initial_bytes).hexdigest(),
+        "rules_file": hashlib.sha256(rules_bytes).hexdigest(),
+    }
+    return initial, rules, digests
 
 
 def run(config: ExperimentConfig) -> dict[str, str]:
     """Execute the pipeline and write all artifacts; returns {filename: sha256}."""
     partition = config.partition()
-    initial, rules = _load_inputs(config)
+    initial, rules, input_sha256 = _load_inputs(config)
     psi0 = normalize(Wavefunctional.from_states([(initial, 1.0 + 0j)]))
     gen = expand_reachable(psi0, rules, config.max_dim, config.accept_truncation)
     # Branch tracking labels every connected k_min-vertex fragment of every
@@ -287,7 +298,7 @@ def run(config: ExperimentConfig) -> dict[str, str]:
     emit("final_state.wfn", wfn1_dumps(series[-1]))
 
     manifest = {
-        "config_sha256": config.sha256(),
+        "config_sha256": config.sha256(input_sha256),
         "files": dict(sorted(artifacts.items())),
         "seed": config.seed,
         "tool_version": __version__,

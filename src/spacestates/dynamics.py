@@ -9,24 +9,34 @@ closure of the seed support in which each state is expanded once: its rule
 applications both discover new states and, once the basis is fixed, give the
 generator's coupling pattern. The basis and that pattern depend only on the
 rule shapes, not on the coupling strengths, so the expansion is done once per
-rule structure and re-weighted for each coupling set. Once the basis is
-full, a result whose vertex and edge counts no basis state has is outside it
-by size alone and is not canonically labeled. Evolution applies the exact
-matrix exponential on that truncated basis.
+rule structure and re-weighted for each coupling set. The expansion runs on
+small-int forms: the labels and lengths of the seed states and the rule
+fragments are ranked once, every reachable state draws from them, and each
+rule result is keyed from its form. Only a result the basis admits becomes a
+validated `SpaceState` (at `max_dim` 300, 299 of 3,108 results). Once the
+basis is full, a result whose vertex and edge counts no basis state has is
+outside it by size alone and is not canonically labeled. Evolution applies
+the exact matrix exponential on that truncated basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from fractions import Fraction
+from functools import cached_property
+from typing import Iterable, Mapping
 
 import numpy as np
 from scipy.linalg import expm
 
+from . import spacegraph
 from .spacegraph import (
     FieldConfig,
     SpaceGraph,
     SpaceState,
+    VertexField,
+    _field_text,
+    _ranks,
     classify_cached,
     ssg1_dumps,
     ssg1_loads,
@@ -89,100 +99,155 @@ class RewriteRule:
         return RewriteRule(self.rule_id, self.pattern, self.replacement, coupling)
 
 
+@dataclass(frozen=True)
+class _Form:
+    """A state in small ints: the label rank of vertices 0..n-1, and edges
+    (i, j, length rank). Ranks index a `_Ranks` table."""
+
+    labels: tuple[int, ...]
+    edges: tuple[tuple[int, int, int], ...]
+
+    @cached_property
+    def adj(self) -> list[dict[int, int]]:
+        adj: list[dict[int, int]] = [{} for _ in self.labels]
+        for i, j, rank in self.edges:
+            adj[i][j] = adj[j][i] = rank
+        return adj
+
+
+class _Ranks:
+    """Every vertex label and edge length of some states and rule fragments,
+    ranked by exact value, with the text and the value of each beside its
+    rank. A rule application only copies labels and lengths from its source
+    and its replacement, so one table built from the seed states and the
+    rule fragments covers every state an expansion reaches. The ranks of a
+    state then order its labels and lengths as the state's own ranks would,
+    so `_label_form` writes the same key from either."""
+
+    def __init__(self, states: Iterable[SpaceState]):
+        fields: dict[str, VertexField] = {}
+        lengths: dict[str, Fraction] = {}
+        for state in states:
+            for _, rec in state.fields.fields:
+                fields.setdefault(_field_text(rec), rec)
+            for _, _, length in state.geometry.edges:
+                lengths.setdefault(str(length), length)
+        self.field_rank = _ranks(list(fields), [rec.label() for rec in fields.values()])
+        self.field_text = list(self.field_rank)
+        self.fields = [fields[t] for t in self.field_text]
+        self.length_rank = _ranks(list(lengths), list(lengths.values()))
+        self.length_text = list(self.length_rank)
+        self.lengths = [lengths[t] for t in self.length_text]
+
+    def form(self, state: SpaceState) -> _Form:
+        """The state's form; its vertices are numbered by position in sorted order."""
+        position = {v: i for i, v in enumerate(state.geometry.vertices)}
+        labels = tuple(self.field_rank[_field_text(rec)] for _, rec in state.fields.fields)
+        edges = tuple((position[u], position[v], self.length_rank[str(w)]) for u, v, w in state.geometry.edges)
+        return _Form(labels, edges)
+
+    def key(self, form: _Form) -> bytes:
+        """The canonical key of the form's state."""
+        text = self.length_text
+        edges = [(i, j, text[rank], rank) for i, j, rank in form.edges]
+        return spacegraph._label_form([self.field_text[r] for r in form.labels], list(form.labels), edges)
+
+    def state(self, form: _Form, cell_index: tuple[int, ...]) -> SpaceState:
+        """The validated state with vertices 0..n-1 that the form describes."""
+        graph = SpaceGraph(tuple(range(len(form.labels))), tuple((i, j, self.lengths[r]) for i, j, r in form.edges))
+        fields = FieldConfig(tuple((v, self.fields[r]) for v, r in enumerate(form.labels)))
+        return SpaceState(graph, fields, cell_index)
+
+
+def _matches(pattern: _Form, state: _Form) -> list[tuple[int, ...]]:
+    """Every injective induced match of the pattern into the state, as tuples
+    of state vertices in pattern vertex order, sorted. Each pattern vertex
+    after the first is placed next to an already placed neighbour, and its
+    candidates are that neighbour's image's neighbours."""
+    pat_adj, adj, labels = pattern.adj, state.adj, state.labels
+    order, anchors = [0], [-1]
+    while len(order) < len(pat_adj):
+        # The pattern is connected, so some unplaced vertex has a placed neighbour.
+        v, u = next((v, u) for v in range(len(pat_adj)) if v not in order for u in pat_adj[v] if u in order)
+        order.append(v)
+        anchors.append(u)
+
+    matches: list[tuple[int, ...]] = []
+    mapping = [-1] * len(order)
+
+    def extend(i: int) -> None:
+        if i == len(order):
+            matches.append(tuple(mapping))
+            return
+        pv = order[i]
+        want = pattern.labels[pv]
+        candidates = range(len(labels)) if anchors[i] < 0 else adj[mapping[anchors[i]]]
+        for sv in candidates:
+            if labels[sv] != want or sv in mapping:
+                continue
+            if all(pat_adj[pv].get(qv) == adj[sv].get(mapping[qv]) for qv in order[:i]):
+                mapping[pv] = sv
+                extend(i + 1)
+                mapping[pv] = -1
+
+    extend(0)
+    return sorted(matches)
+
+
+def _rewrite(pattern: _Form, replacement: _Form, state: _Form, match: tuple[int, ...]) -> _Form | None:
+    """Rewrite one matched site; None when a deleted vertex still has edges
+    outside the match (the application would dangle). The result numbers
+    the kept vertices of the state in order, then the fresh ones."""
+    shared = min(len(pattern.labels), len(replacement.labels))
+    matched = set(match)
+    deleted = set(match[shared:])
+    if any(u not in matched for d in deleted for u in state.adj[d]):
+        return None
+    n = len(state.labels)
+    labels = list(state.labels) + list(replacement.labels[shared:])
+    site = list(match[:shared]) + list(range(n, len(labels)))
+    for i in range(shared):
+        labels[site[i]] = replacement.labels[i]
+    # No edge joins a deleted vertex to an unmatched one, so dropping the
+    # edges inside the match drops every edge at a deleted vertex too.
+    edges = [e for e in state.edges if e[0] not in matched or e[1] not in matched]
+    edges += [(site[i], site[j], rank) for i, j, rank in replacement.edges]
+    if deleted:
+        kept = [v for v in range(len(labels)) if v not in deleted]
+        renumber = {v: i for i, v in enumerate(kept)}
+        labels = [labels[v] for v in kept]
+        edges = [(renumber[i], renumber[j], rank) for i, j, rank in edges]
+    return _Form(tuple(labels), tuple(edges))
+
+
 def find_matches(rule: RewriteRule, state: SpaceState) -> list[tuple[int, ...]]:
     """All injective induced matches of the pattern into the state, as tuples
     of state vertices aligned with the pattern's vertex order. The list is
     sorted, which fixes the site order for generator assembly."""
-    pat = rule.pattern
-    pat_adj = pat.geometry.adjacency()
-    st_adj = state.geometry.adjacency()
-    pat_fields = pat.fields.as_dict()
-    st_fields = state.fields.as_dict()
-
-    order = [pat.geometry.vertices[0]]
-    remaining = [v for v in pat.geometry.vertices[1:]]
-    while remaining:
-        nxt = next(v for v in remaining if any(u in order for u in pat_adj[v]))
-        order.append(nxt)
-        remaining.remove(nxt)
-
-    matches: list[tuple[int, ...]] = []
-
-    def extend(i: int, mapping: dict[int, int], used: set[int]):
-        if i == len(order):
-            by_pattern_order = tuple(mapping[v] for v in pat.geometry.vertices)
-            matches.append(by_pattern_order)
-            return
-        pv = order[i]
-        want = pat_fields[pv].label()
-        for sv in state.geometry.vertices:
-            if sv in used or st_fields[sv].label() != want:
-                continue
-            ok = True
-            for qv, qm in mapping.items():
-                if pat_adj[pv].get(qv) != st_adj[sv].get(qm):
-                    ok = False
-                    break
-            if ok:
-                mapping[pv] = sv
-                used.add(sv)
-                extend(i + 1, mapping, used)
-                used.discard(sv)
-                del mapping[pv]
-
-    extend(0, {}, set())
-    return sorted(matches)
+    ranks = _Ranks([state, rule.pattern])
+    vertices = state.geometry.vertices
+    return [tuple(vertices[i] for i in m) for m in _matches(ranks.form(rule.pattern), ranks.form(state))]
 
 
 def apply_rule(rule: RewriteRule, state: SpaceState, match: tuple[int, ...]) -> SpaceState | None:
     """Rewrite one matched site; returns None when a deleted vertex still has
-    edges outside the match (the application would dangle)."""
-    pat_verts = rule.pattern.geometry.vertices
-    rep_verts = rule.replacement.geometry.vertices
-    shared = min(len(pat_verts), len(rep_verts))
-    matched = set(match)
-    site = {pat_verts[i]: match[i] for i in range(len(pat_verts))}
-    deleted = {site[pat_verts[i]] for i in range(shared, len(pat_verts))}
-
-    st_adj = state.geometry.adjacency()
-    for d in deleted:
-        if any(u not in matched for u in st_adj[d]):
-            return None
-
-    fields = {v: rec for v, rec in state.fields.fields if v not in deleted}
-    rep_fields = rule.replacement.fields.as_dict()
-    rep_map: dict[int, int] = {}
-    fresh = max(state.geometry.vertices) + 1
-    for i, rv in enumerate(rep_verts):
-        if i < shared:
-            rep_map[rv] = site[pat_verts[i]]
-        else:
-            rep_map[rv] = fresh
-            fresh += 1
-    for rv in rep_verts:
-        fields[rep_map[rv]] = rep_fields[rv]
-
-    edges = [
-        (u, v, w)
-        for u, v, w in state.geometry.edges
-        if not (u in matched and v in matched) and u not in deleted and v not in deleted
-    ]
-    for u, v, w in rule.replacement.geometry.edges:
-        edges.append((rep_map[u], rep_map[v], w))
-
-    renumber = {v: i for i, v in enumerate(sorted(fields))}
-    new_fields = FieldConfig.build({renumber[v]: rec for v, rec in fields.items()})
-    new_graph = SpaceGraph.build(
-        renumber.values(), [(renumber[u], renumber[v], w) for u, v, w in edges]
-    )
-    return SpaceState(new_graph, new_fields, state.cell_index)
+    edges outside the match (the application would dangle). The result's
+    vertices are 0..n-1: the kept vertices of the state in order, then the
+    fresh ones."""
+    ranks = _Ranks([state, rule.pattern, rule.replacement])
+    position = {v: i for i, v in enumerate(state.geometry.vertices)}
+    site = tuple(position[v] for v in match)
+    result = _rewrite(ranks.form(rule.pattern), ranks.form(rule.replacement), ranks.form(state), site)
+    return None if result is None else ranks.state(result, state.cell_index)
 
 
-def rule_applications(rule: RewriteRule, state: SpaceState) -> list[SpaceState]:
-    """Results of every non-dangling application, in sorted match order."""
+def rule_applications(rule: tuple[_Form, _Form], state: _Form) -> list[_Form]:
+    """Results of every non-dangling application of a rule, given as its
+    (pattern, replacement) forms, to a state's form, in sorted match order."""
+    pattern, replacement = rule
     out = []
-    for match in find_matches(rule, state):
-        result = apply_rule(rule, state, match)
+    for match in _matches(pattern, state):
+        result = _rewrite(pattern, replacement, state, match)
         if result is not None:
             out.append(result)
     return out
@@ -242,7 +307,10 @@ def _expand_structure(
     max_dim: int,
     accept_truncation: bool,
 ) -> _Structure:
+    ranks = _Ranks([*seed_states, *(f for r in ordered_rules for f in (r.pattern, r.replacement))])
+    rule_forms = [(ranks.form(r.pattern), ranks.form(r.replacement)) for r in ordered_rules]
     basis = list(seed_states)
+    forms = [ranks.form(s) for s in seed_states]
     index = {entry_key(s): i for i, s in enumerate(basis)}
     found: list[tuple[int, EntryKey | None, int]] = []
 
@@ -254,13 +322,14 @@ def _expand_structure(
     expanded = 0
     while expanded < len(basis):
         room = max_dim - len(basis)
-        sizes = None if room else {(s.n, len(s.geometry.edges)) for s in basis}
-        discovered: dict[EntryKey | None, SpaceState] = {}
+        sizes = None if room else {(len(f.labels), len(f.edges)) for f in forms}
+        discovered: dict[EntryKey | None, _Form] = {}
         for src in range(expanded, len(basis)):
-            for pos, rule in enumerate(ordered_rules):
-                for result in rule_applications(rule, basis[src]):
-                    if sizes is None or (result.n, len(result.geometry.edges)) in sizes:
-                        key = entry_key(result)
+            cell = basis[src].cell_index
+            for pos, rule in enumerate(rule_forms):
+                for result in rule_applications(rule, forms[src]):
+                    if sizes is None or (len(result.labels), len(result.edges)) in sizes:
+                        key = (ranks.key(result), cell)
                     else:
                         key = None
                     found.append((src, key, pos))
@@ -271,8 +340,13 @@ def _expand_structure(
             raise TruncationExceeded(f"closure exceeds max_dim={max_dim}")
         if room:
             for key in sorted(discovered)[:room]:
+                form = discovered[key]
+                state = ranks.state(form, key[1])
+                # The key computed from the form is the state's canonical key.
+                state.__dict__["canonical_key"] = key[0]
                 index[key] = len(basis)
-                basis.append(discovered[key])
+                basis.append(state)
+                forms.append(form)
 
     applications: list[tuple[int, int, int]] = []
     boundary: set[int] = set()

@@ -326,10 +326,15 @@ def _ranks(text: Sequence[str], values: Sequence) -> dict[str, int]:
 FormEdge = tuple[int, int, str, int]
 
 
+def _field_text(rec: VertexField) -> str:
+    """The text of a vertex label in canonical forms; it names the exact value."""
+    return f"{rec.species_tag},{rec.matter_amplitude},{rec.u1_phase.turns}"
+
+
 def _int_form(state: SpaceState) -> tuple[list[str], list[int], list[FormEdge]]:
     """Label text and rank of vertices 0..n-1, and edges (i, j, length text, length rank)."""
     records = [rec for _, rec in state.fields.fields]
-    label_text = [f"{rec.species_tag},{rec.matter_amplitude},{rec.u1_phase.turns}" for rec in records]
+    label_text = [_field_text(rec) for rec in records]
     label_rank = _ranks(label_text, [rec.label() for rec in records])
     geometry_edges = state.geometry.edges
     length_text = [str(length) for _, _, length in geometry_edges]

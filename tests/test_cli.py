@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spacestates import Wavefunctional, wfn1_loads
-from spacestates.cli import SAMPLES_LIMIT, VERIFY_CORPUS_LIMIT, ConfigError, ExperimentConfig, main
+from spacestates.cli import SAMPLES_LIMIT, VERIFY_CORPUS_LIMIT, ConfigError, ExperimentConfig, _load_inputs, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -41,6 +41,12 @@ def reference_config(tmp_path, **overrides):
     path = tmp_path / "reference.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def config_hash(path, overrides=None):
+    """The `config_sha256` that `run` writes for the config at `path`."""
+    config = ExperimentConfig.from_file(str(path), overrides)
+    return config.sha256(_load_inputs(config)[2])
 
 
 def hashes(out_dir):
@@ -101,6 +107,11 @@ class TestConfigParsing:
                 ExperimentConfig.from_file(path, bad)
 
     def test_every_key_but_out_dir_enters_the_hash(self, tmp_path):
+        # The input files enter the hash by their bytes, so the other rule
+        # and state files differ from the shipped ones in content.
+        rules = (CONFIG_DIR / "two_state_rabi.rul").read_text()
+        (tmp_path / "other.rul").write_text(rules.replace("rule 0 0.5", "rule 0 0.25"))
+        (tmp_path / "other.ssg").write_text((CONFIG_DIR / "two_state_rabi.ssg").read_text() + "v 2 1 1 0\n")
         changed = {
             "rules_file": "other.rul",
             "initial_state_file": "other.ssg",
@@ -119,12 +130,32 @@ class TestConfigParsing:
         }
         keys = {f.metadata.get("key", f.name) for f in fields(ExperimentConfig) if f.init}
         assert set(changed) == keys - {"out_dir"}
-        base = ExperimentConfig.from_file(str(write_config(tmp_path))).sha256()
+        base = config_hash(write_config(tmp_path))
         for key, value in changed.items():
-            config = ExperimentConfig.from_file(str(write_config(tmp_path, **{key: value})))
-            assert config.sha256() != base, key
-        moved = ExperimentConfig.from_file(str(write_config(tmp_path)), {"out_dir": "elsewhere"})
-        assert moved.sha256() == base
+            assert config_hash(write_config(tmp_path, **{key: value})) != base, key
+        assert config_hash(write_config(tmp_path), {"out_dir": "elsewhere"}) == base
+
+    def test_hash_names_input_contents_not_paths(self, tmp_path):
+        # Identical inputs under two paths give one hash; an input edited in
+        # place gives another.
+        manifests = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            for suffix in (".rul", ".ssg"):
+                (tmp_path / name / f"rabi{suffix}").write_bytes((CONFIG_DIR / f"two_state_rabi{suffix}").read_bytes())
+            path = write_config(
+                tmp_path,
+                name=f"{name}.json",
+                rules_file=f"{name}/rabi.rul",
+                initial_state_file=f"{name}/rabi.ssg",
+                out_dir=str(tmp_path / name / "out"),
+            )
+            assert invoke("run", str(path)) == 0
+            manifests.append(json.loads((tmp_path / name / "out" / "manifest.json").read_text()))
+        assert manifests[0] == manifests[1]
+        rules = tmp_path / "b" / "rabi.rul"
+        rules.write_text(rules.read_text().replace("rule 0 0.5", "rule 0 0.25"))
+        assert config_hash(tmp_path / "b.json") != manifests[0]["config_sha256"]
 
     def test_negative_seed_exits_1(self, tmp_path, capsys):
         # The sampler's counter-based generator takes only non-negative seeds.
@@ -350,6 +381,9 @@ class TestVerify:
 # SHA-256 of every artifact of `spacestates run` on the shipped configs,
 # recorded before the refinement count moved to its closed form. A change
 # that alters one on purpose updates it here and says why.
+# - manifest.json (two_state_rabi 4c7c3cc8… -> b29e9a59…, reference_branching
+#   6ca84be9… -> ccffee91…): `config_sha256` hashes the SHA-256 of the rules
+#   and initial-state files' bytes in place of their paths.
 PINNED_DIGESTS = {
     "two_state_rabi": {
         "branch_summary.csv": "f74478ffc86307911d1f1fb92bca52bbfca81344538a21d55908ab9e4339b822",
@@ -357,7 +391,7 @@ PINNED_DIGESTS = {
         "count_report.csv": "cb214e14318998079e1174f15baafe42b25314602213b78e2366a49305704b12",
         "final_state.wfn": "8090d49449d5d9af8ea6ff9d57e2cd1e3d8ec5f3802d8ce7af22f5cf21a725c8",
         "initial_state.wfn": "2bd50b17f73ce525d3c7cd4ff57b4557608cfbef58d9f42a799d8fa6a58e9849",
-        "manifest.json": "4c7c3cc8942d4382eb9f0c683c219c069738cb6593867d5a9dff12b6d0aaebdd",
+        "manifest.json": "b29e9a59e79550121561b55cd55ed23ef1a0db8fc67d94a7c8f2d1d81fcb4792",
         "sampler.csv": "742275a9f6bb0c46ad962a87ee34117db710f4a4cb290853efc083bfc793ba5d",
         "weights.csv": "dfd5f39f1d41d3c01a823b153a69e71299111186f27c79e15c27a4d5a7bda752",
     },
@@ -367,7 +401,7 @@ PINNED_DIGESTS = {
         "count_report.csv": "826b64b8815f4c3f1ae430da8d8246b039bc419628c57e1012c29566604ac264",
         "final_state.wfn": "1ed34f44c182e309709ead23595dbe1179aa462ab0ae4b6338e906930b382e77",
         "initial_state.wfn": "96b6fedf517c91fe9017228e4e9618456a2c6a1f5bf68f6945de45a48997d539",
-        "manifest.json": "6ca84be98cfbaecfb40094bad3cd5e69aaa8bad4eb70069eeaeb7e532e4d0e04",
+        "manifest.json": "ccffee91aa37dd4d8c110231b6a461700bfc9a0eda3689913ec82489bfa74f87",
         "sampler.csv": "3fbf658d51b589ebd1dc1f69d562d1f495264b116f9dc3c4d5a85d9decb2de34",
         "weights.csv": "aaf8f779284ed9cccc9f38c040e724791eb718f0e565f67bc29b777dffe69832",
     },

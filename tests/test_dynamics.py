@@ -297,6 +297,67 @@ class TestExpandReachable:
         digest.update(repr(sorted(gen.boundary)).encode())
         assert digest.hexdigest() == "3dc7bbf6c976190d929a49e7fd2c456964ec66815f18a03845fb5b4b6a1e7cbb"
 
+    def test_reference_300_rung_matches_pinned_digest(self, monkeypatch):
+        # Recorded before the expansion moved to small-int forms: the matrix,
+        # the boundary and every basis state's SSG1 text, and the labelings.
+        calls = count_label_forms(monkeypatch)
+        gen = expand_reachable(reference_seed(), reference_rules(), max_dim=300, accept_truncation=True)
+        assert calls[0] == 949
+        digest = hashlib.sha256(gen.matrix.tobytes())
+        digest.update(repr(sorted(gen.boundary)).encode())
+        for state in gen.basis:
+            digest.update(ssg1_dumps(state).encode())
+        assert digest.hexdigest() == "69ada130f12548e7d182c1b2b0998fc5f5a3707b520c193d4325879f9501f20b"
+
+    def test_cold_expansion_builds_only_admitted_states(self, monkeypatch):
+        # Results are keyed on their small-int forms, so a graph is built
+        # only for each state the basis admits past the seed.
+        seed, rules = reference_seed(), reference_rules()
+        built = [0]
+        original = spacegraph.SpaceGraph.__post_init__
+
+        def counting(graph):
+            built[0] += 1
+            original(graph)
+
+        monkeypatch.setattr(spacegraph.SpaceGraph, "__post_init__", counting)
+        gen = expand_reachable(seed, rules, max_dim=96, accept_truncation=True)
+        assert gen.dim == 96
+        assert built[0] <= gen.dim - 1
+
+    @pytest.mark.parametrize("case", ("reference", "three_rule_with_shrink", "non_contiguous_seed"))
+    def test_preset_keys_match_fresh_labeling(self, case):
+        # Admitted states carry the key computed from the expansion's rank
+        # table; it must equal a fresh labeling on the state's own ranks, and
+        # the public apply_rule path must key every result as the form path.
+        if case == "reference":
+            seed = ssg1_loads((CONFIG_DIR / "reference_branching.ssg").read_text())
+            rules, max_dim = reference_rules(), 96
+        else:
+            seed, rules = three_rule_system()
+            shrink = RewriteRule(
+                3,
+                SpaceState.build({0: (2, 4, 0), 1: (3, 1, 0)}, [(0, 1, 3)]),
+                SpaceState.build({0: (2, 2, 0)}),
+                0.3,
+            )
+            rules, max_dim = [*rules, shrink], 64
+            if case == "non_contiguous_seed":
+                seed = relabeled(seed, {0: 10, 1: 3, 2: 7, 3: 12})
+        gen = expand_reachable(Wavefunctional.from_states([(seed, 1.0)]), rules, max_dim, accept_truncation=True)
+        ranks = dynamics._Ranks([seed, *(f for r in rules for f in (r.pattern, r.replacement))])
+        for state in gen.basis:
+            assert state.canonical_key == spacegraph._canonical_bytes(state)
+            for rule in rules:
+                public = [
+                    result.canonical_key
+                    for match in find_matches(rule, state)
+                    if (result := apply_rule(rule, state, match)) is not None
+                ]
+                rule_form = (ranks.form(rule.pattern), ranks.form(rule.replacement))
+                forms = dynamics.rule_applications(rule_form, ranks.form(state))
+                assert public == [ranks.key(result) for result in forms]
+
     def test_refusal_found_only_by_size_still_raises(self, monkeypatch):
         # At max_dim 3 the seed and the 2 states of level 0 fill the basis;
         # every result of the next level has 4 vertices, so only the seed
