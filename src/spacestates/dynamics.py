@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -99,16 +98,14 @@ class RewriteRule:
         return RewriteRule(self.rule_id, self.pattern, self.replacement, coupling)
 
 
-@dataclass(frozen=True)
-class _Form:
+class _Form(NamedTuple):
     """A state in small ints: the label rank of vertices 0..n-1, and edges
     (i, j, length rank). Ranks index a `_Ranks` table."""
 
     labels: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]
 
-    @cached_property
-    def adj(self) -> list[dict[int, int]]:
+    def adjacency(self) -> list[dict[int, int]]:
         adj: list[dict[int, int]] = [{} for _ in self.labels]
         for i, j, rank in self.edges:
             adj[i][j] = adj[j][i] = rank
@@ -148,14 +145,14 @@ class _Ranks:
 
     def key(self, form: _Form) -> bytes:
         """The canonical key of the form's state."""
-        text = self.length_text
-        edges = [(i, j, text[rank], rank) for i, j, rank in form.edges]
+        edges = [(i, j, self.length_text[rank], rank) for i, j, rank in form.edges]
         return spacegraph._label_form([self.field_text[r] for r in form.labels], list(form.labels), edges)
 
     def state(self, form: _Form, cell_index: tuple[int, ...]) -> SpaceState:
         """The validated state with vertices 0..n-1 that the form describes."""
-        graph = SpaceGraph(tuple(range(len(form.labels))), tuple((i, j, self.lengths[r]) for i, j, r in form.edges))
-        fields = FieldConfig(tuple((v, self.fields[r]) for v, r in enumerate(form.labels)))
+        edges = tuple((i, j, self.lengths[rank]) for i, j, rank in form.edges)
+        graph = SpaceGraph(tuple(range(len(form.labels))), edges)
+        fields = FieldConfig(tuple((v, self.fields[rank]) for v, rank in enumerate(form.labels)))
         return SpaceState(graph, fields, cell_index)
 
 
@@ -164,7 +161,7 @@ def _matches(pattern: _Form, state: _Form) -> list[tuple[int, ...]]:
     of state vertices in pattern vertex order, sorted. Each pattern vertex
     after the first is placed next to an already placed neighbour, and its
     candidates are that neighbour's image's neighbours."""
-    pat_adj, adj, labels = pattern.adj, state.adj, state.labels
+    pat_adj, adj, labels = pattern.adjacency(), state.adjacency(), state.labels
     order, anchors = [0], [-1]
     while len(order) < len(pat_adj):
         # The pattern is connected, so some unplaced vertex has a placed neighbour.
@@ -201,8 +198,10 @@ def _rewrite(pattern: _Form, replacement: _Form, state: _Form, match: tuple[int,
     shared = min(len(pattern.labels), len(replacement.labels))
     matched = set(match)
     deleted = set(match[shared:])
-    if any(u not in matched for d in deleted for u in state.adj[d]):
-        return None
+    if deleted:
+        adj = state.adjacency()
+        if any(u not in matched for d in deleted for u in adj[d]):
+            return None
     n = len(state.labels)
     labels = list(state.labels) + list(replacement.labels[shared:])
     site = list(match[:shared]) + list(range(n, len(labels)))

@@ -224,6 +224,12 @@ class TestRun:
         path = write_config(tmp_path, rules_file=str(bad_rules))
         assert invoke("run", str(path)) == 2
 
+    def test_rule_file_not_utf8_exits_2(self, tmp_path, capsys):
+        bad_rules = tmp_path / "latin1.rul"
+        bad_rules.write_bytes((CONFIG_DIR / "two_state_rabi.rul").read_bytes() + b"\xe9\n")
+        assert invoke("run", str(write_config(tmp_path, rules_file=str(bad_rules)))) == 2
+        assert "cannot read rules file" in capsys.readouterr().err
+
     def test_missing_rule_file_exits_2(self, tmp_path):
         path = write_config(tmp_path, rules_file=str(tmp_path / "nope.rul"))
         assert invoke("run", str(path)) == 2
