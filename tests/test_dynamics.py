@@ -180,6 +180,16 @@ def three_rule_system():
     return seed, [flip, swap, grow]
 
 
+def shrink_rule():
+    """Undoes the three-rule system's grow rule: an edge back to one vertex."""
+    return RewriteRule(
+        3,
+        SpaceState.build({0: (2, 4, 0), 1: (3, 1, 0)}, [(0, 1, 3)]),
+        SpaceState.build({0: (2, 2, 0)}),
+        0.3,
+    )
+
+
 def assert_matches_naive_enumerator(seed, rules):
     """The closure has 9 states; smaller max_dim values truncate it at every
     possible size, and at each the generator equals the oracle's matrix
@@ -276,13 +286,7 @@ class TestExpandReachable:
         # results of a full basis land on vertex and edge counts that basis
         # states hold; counts alone cannot place them outside.
         seed, rules = three_rule_system()
-        shrink = RewriteRule(
-            3,
-            SpaceState.build({0: (2, 4, 0), 1: (3, 1, 0)}, [(0, 1, 3)]),
-            SpaceState.build({0: (2, 2, 0)}),
-            0.3,
-        )
-        assert_matches_naive_enumerator(seed, [*rules, shrink])
+        assert_matches_naive_enumerator(seed, [*rules, shrink_rule()])
 
     def test_full_basis_labels_no_out_of_size_result(self, monkeypatch):
         # Every reference rule adds a vertex and an edge, so the results of
@@ -335,13 +339,7 @@ class TestExpandReachable:
             rules, max_dim = reference_rules(), 96
         else:
             seed, rules = three_rule_system()
-            shrink = RewriteRule(
-                3,
-                SpaceState.build({0: (2, 4, 0), 1: (3, 1, 0)}, [(0, 1, 3)]),
-                SpaceState.build({0: (2, 2, 0)}),
-                0.3,
-            )
-            rules, max_dim = [*rules, shrink], 64
+            rules, max_dim = [*rules, shrink_rule()], 64
             if case == "non_contiguous_seed":
                 seed = relabeled(seed, {0: 10, 1: 3, 2: 7, 3: 12})
         gen = expand_reachable(Wavefunctional.from_states([(seed, 1.0)]), rules, max_dim, accept_truncation=True)
