@@ -2,6 +2,10 @@
 
 __version__ = "0.1.0"
 
+# numpy imports `numpy.random` on first use; importing it with the package
+# keeps that cost out of the first run that draws a sample.
+import numpy.random  # noqa: F401
+
 from .born import (
     CountReport,
     DepthExceeded,

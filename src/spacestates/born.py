@@ -168,7 +168,9 @@ def _draw_counts(probs: np.ndarray, samples: int, seed: int) -> np.ndarray:
     #{cum_j < b/B}. Only draws in the at most K buckets that hold a cum_j
     are searched. Draws come in chunks of C = DRAW_CHUNK, which Philox
     yields bit for bit as one array would, so memory is O(B + C) for any
-    `samples`.
+    `samples`. Each chunk reuses the same buffers: C-element arrays are
+    large enough that the allocator may map fresh pages for each new one,
+    which would fault them in again for every chunk.
     """
     cum = np.cumsum(probs)
     last = len(cum) - 1
@@ -177,10 +179,15 @@ def _draw_counts(probs: np.ndarray, samples: int, seed: int) -> np.ndarray:
     mixed = below[1:] > below[:-1]
     rng = np.random.Generator(np.random.Philox(seed))
     counts = np.zeros(len(cum), dtype=np.intp)
+    draws_buf = np.empty(DRAW_CHUNK)
+    bucket_buf = np.empty(DRAW_CHUNK, dtype=np.intp)
+    idx_buf = np.empty(DRAW_CHUNK, dtype=np.intp)
     for done in range(0, samples, DRAW_CHUNK):
-        draws = rng.random(min(DRAW_CHUNK, samples - done))
-        bucket = (draws * GUIDE_BUCKETS).astype(np.intp)
-        idx = start[bucket]
+        n = min(DRAW_CHUNK, samples - done)
+        draws = rng.random(out=draws_buf[:n])
+        # floor(d * B): the product is exact and truncation floors it.
+        bucket = np.multiply(draws, GUIDE_BUCKETS, out=bucket_buf[:n], casting="unsafe")
+        idx = np.take(start, bucket, out=idx_buf[:n])
         hit = np.flatnonzero(mixed[bucket])
         idx[hit] = np.minimum(np.searchsorted(cum, draws[hit], side="left"), last)
         counts += np.bincount(idx, minlength=len(cum))

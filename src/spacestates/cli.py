@@ -43,7 +43,7 @@ from .dynamics import (
     rul1_loads,
 )
 from .macrostates import MacroPartition, builtin_classifiers, partition_by_name, verify_projector_algebra
-from .reference import bisection_refinement, brute_force_assoc_kind, brute_force_common_subgraph_size
+from .reference import bisection_refinement, brute_force_assoc_kind, brute_force_common_subgraph_size, expm_eigh
 from .spacegraph import (
     AssocKind,
     FragmentLimitExceeded,
@@ -357,10 +357,12 @@ def verify(
     drift = abs(norm(evolved) - 1.0)
     if "unitarity-norm" in inject_faults:
         drift += 1e-6
+    # The Padé propagator against an independent eigendecomposition.
+    deviation = float(np.abs(gen.propagator(0.02) - expm_eigh(h, 0.02)).max())
     record(
         "unitarity",
-        "PASS" if drift < 1e-10 else "FAIL",
-        f"norm drift {drift:.3e}",
+        "PASS" if drift < 1e-10 and deviation <= 1e-12 else "FAIL",
+        f"norm drift {drift:.3e}, propagator deviation from eigh {deviation:.3e}",
     )
 
     # Gauge absorption round trip: amplitudes through reconstruct(), states

@@ -1,13 +1,14 @@
 """Slow brute-force reference implementations.
 
 These are deliberately independent of the canonical-labeling, fragment
-signature and counting machinery: isomorphism is decided by backtracking over
-vertex bijections on the raw structure, common subgraphs by enumerating
-connected induced vertex subsets, refinement counts by materializing every
-dyadic cell, and sampler counts by one inverse-CDF search over all draws at
-once. Branch components and irreversibility are decided pair by pair with
-these brute-force tests, not through fragment signatures. The verification
-suite and the test oracles compare the fast paths against these.
+signature, counting and Padé exponential machinery: isomorphism is decided
+by backtracking over vertex bijections on the raw structure, common
+subgraphs by enumerating connected induced vertex subsets, refinement counts
+by materializing every dyadic cell, sampler counts by one inverse-CDF search
+over all draws at once, and the propagator by an eigendecomposition.
+Branch components and irreversibility are decided pair by pair with these
+brute-force tests, not through fragment signatures. The verification suite
+and the test oracles compare the fast paths against these.
 """
 
 from __future__ import annotations
@@ -201,6 +202,13 @@ def pairwise_irreversible(tree: BranchTree, horizon: int) -> list[bool]:
             )
         verdicts.append(not reversible)
     return verdicts
+
+
+def expm_eigh(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t h) for Hermitian h as V exp(-i t diag(lambda)) V^H from
+    numpy's `eigh`, independent of the propagator's Padé approximant."""
+    lam, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-1j * t * lam)) @ vecs.conj().T
 
 
 def dense_inner_product(a, b) -> complex:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spacestates import Wavefunctional, wfn1_loads
+from spacestates import Wavefunctional, dynamics, wfn1_loads
 from spacestates.cli import SAMPLES_LIMIT, VERIFY_CORPUS_LIMIT, ConfigError, ExperimentConfig, _load_inputs, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -291,6 +291,16 @@ class TestRun:
         assert invoke("run", str(path)) == 4
         assert "not finite (dt 0.3, largest |H| entry 1.000e+308)" in capsys.readouterr().err
 
+    def test_overflowing_reference_couplings_exit_4(self, tmp_path, capsys):
+        # Summed couplings of 1e308 overflow generator entries to inf, so the
+        # generator's 1-norm is infinite.
+        rules = (CONFIG_DIR / "reference_branching.rul").read_text()
+        huge_rules = tmp_path / "huge.rul"
+        huge_rules.write_text(rules.replace("rule 0 0.9", "rule 0 1e308").replace("rule 1 0.7", "rule 1 1e308"))
+        path = reference_config(tmp_path, rules_file=str(huge_rules))
+        assert invoke("run", str(path)) == 4
+        assert "not finite (dt 0.2, largest |H| entry inf)" in capsys.readouterr().err
+
     def test_norm_drift_exits_4_and_writes_nothing(self, tmp_path, capsys):
         path = write_config(tmp_path, dt=1e12)
         assert invoke("run", str(path)) == 4
@@ -366,6 +376,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL unitarity" in out
 
+    def test_propagator_off_eigh_fails_unitarity(self, tmp_path, capsys, monkeypatch):
+        # A time step off by one part in 1e10 keeps the propagator unitary,
+        # so only the comparison with the eigh oracle can catch it.
+        exp = dynamics._exp_hermitian
+        monkeypatch.setattr(dynamics, "_exp_hermitian", lambda h, t: exp(h, t * (1 + 1e-10)))
+        path = write_config(tmp_path, verify_corpus=0)
+        assert invoke("verify", str(path)) == 5
+        out = capsys.readouterr().out
+        assert re.search(r"FAIL unitarity: norm drift \S+e-1[5-9], propagator deviation from eigh", out)
+
     def test_empty_corpus_reports_skip_not_pass(self, tmp_path, capsys):
         path = write_config(tmp_path, verify_corpus=0)
         assert invoke("verify", str(path)) == 0
@@ -384,12 +404,35 @@ class TestVerify:
         assert "artifacts" in proc.stdout
 
 
+def test_run_imports_nothing_past_the_package(tmp_path):
+    # A module first imported inside `run` adds its load time to the run's
+    # wall time; scipy alone takes about 0.3 s and 28 MB.
+    script = (
+        "import json, sys\n"
+        "import spacestates, spacestates.cli\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "config = spacestates.cli.ExperimentConfig.from_file(sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "spacestates.cli.run(config)\n"
+        "print(json.dumps([scipy, sorted(set(sys.modules) - before)]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(write_config(tmp_path))], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
+
+
 # SHA-256 of every artifact of `spacestates run` on the shipped configs,
 # recorded before the refinement count moved to its closed form. A change
 # that alters one on purpose updates it here and says why.
 # - manifest.json (two_state_rabi 4c7c3cc8… -> b29e9a59…, reference_branching
 #   6ca84be9… -> ccffee91…): `config_sha256` hashes the SHA-256 of the rules
 #   and initial-state files' bytes in place of their paths.
+# - reference_branching branch_summary.csv, branches.jsonl, count_report.csv,
+#   final_state.wfn, weights.csv and manifest.json: the propagator is a numpy
+#   Padé exponential in place of scipy's `expm`. Every float moves by at most
+#   4.4e-16 and every integer is unchanged.
 PINNED_DIGESTS = {
     "two_state_rabi": {
         "branch_summary.csv": "f74478ffc86307911d1f1fb92bca52bbfca81344538a21d55908ab9e4339b822",
@@ -402,14 +445,14 @@ PINNED_DIGESTS = {
         "weights.csv": "dfd5f39f1d41d3c01a823b153a69e71299111186f27c79e15c27a4d5a7bda752",
     },
     "reference_branching": {
-        "branch_summary.csv": "a98992420398455312b69aa11ac929fb3b1d9be7f80730ecd3d68b6f15919a91",
-        "branches.jsonl": "0f06d59e4ab376150176e8ee8dbe221ede4f005e48265143da48000a84bf6b14",
-        "count_report.csv": "826b64b8815f4c3f1ae430da8d8246b039bc419628c57e1012c29566604ac264",
-        "final_state.wfn": "1ed34f44c182e309709ead23595dbe1179aa462ab0ae4b6338e906930b382e77",
+        "branch_summary.csv": "deeaf2aebe669c09b29aa57fbb031c0fe2fe7cc5f4e3ad0a7ec7de3a3484b04b",
+        "branches.jsonl": "888f2f24f6a636bbabbf23a51853903618bd5a5894d75ac4734016178d591da4",
+        "count_report.csv": "dbb72bee2b1be5ff677f5d7351628dce12ba84dfa7478c529017f0d6751844ab",
+        "final_state.wfn": "d4663359718789d62699fd6b68531722dd78888d97e83548e74a58cebf1082ca",
         "initial_state.wfn": "96b6fedf517c91fe9017228e4e9618456a2c6a1f5bf68f6945de45a48997d539",
-        "manifest.json": "ccffee91aa37dd4d8c110231b6a461700bfc9a0eda3689913ec82489bfa74f87",
+        "manifest.json": "6312a4d02ea269cef6515ffd41d5cd3672bc408d04e56a61b7f17185ff7ddfdd",
         "sampler.csv": "3fbf658d51b589ebd1dc1f69d562d1f495264b116f9dc3c4d5a85d9decb2de34",
-        "weights.csv": "aaf8f779284ed9cccc9f38c040e724791eb718f0e565f67bc29b777dffe69832",
+        "weights.csv": "3015cc0c23bc724533432cecc0cc0db8ec091468c8368830ba881f6c7004c0fc",
     },
 }
 

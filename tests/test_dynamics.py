@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spacestates import (
     Generator,
@@ -32,6 +33,8 @@ from spacestates import (
 )
 from spacestates import dynamics, spacegraph
 from spacestates.corpus import random_space_state
+from spacestates.reference import expm_eigh
+from spacestates.wavefunctional import PRUNE_TOLERANCE
 
 from conftest import count_rule_applications, nine_vertex_pair, path_state, uniform_path
 
@@ -297,7 +300,7 @@ class TestExpandReachable:
         calls = count_label_forms(monkeypatch)
         gen = expand_reachable(reference_seed(), reference_rules(), max_dim=96, accept_truncation=True)
         assert calls[0] == 241
-        digest = hashlib.sha256(gen.matrix.tobytes())
+        digest = hashlib.sha256(gen.matrix.astype(complex).tobytes())
         digest.update(repr(sorted(gen.boundary)).encode())
         assert digest.hexdigest() == "3dc7bbf6c976190d929a49e7fd2c456964ec66815f18a03845fb5b4b6a1e7cbb"
 
@@ -307,7 +310,7 @@ class TestExpandReachable:
         calls = count_label_forms(monkeypatch)
         gen = expand_reachable(reference_seed(), reference_rules(), max_dim=300, accept_truncation=True)
         assert calls[0] == 949
-        digest = hashlib.sha256(gen.matrix.tobytes())
+        digest = hashlib.sha256(gen.matrix.astype(complex).tobytes())
         digest.update(repr(sorted(gen.boundary)).encode())
         for state in gen.basis:
             digest.update(ssg1_dumps(state).encode())
@@ -588,6 +591,45 @@ class TestEvolve:
         gen = expand_reachable(Wavefunctional.from_states([(uniform_path(2), 1.0)]), [], 4)
         with pytest.raises(ValueError):
             evolve(psi, gen, 0.1, 1)
+
+
+class TestPropagator:
+    """The Padé propagator against scipy's `expm` and the eigh oracle."""
+
+    @pytest.mark.parametrize("max_dim", [96, 300])
+    def test_reference_generator_matches_scipy(self, max_dim):
+        gen = expand_reachable(reference_seed(), reference_rules(), max_dim=max_dim, accept_truncation=True)
+        assert gen.matrix.dtype == np.float64
+        expected = scipy.linalg.expm(-1j * 0.2 * gen.matrix)
+        assert np.abs(gen.propagator(0.2) - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("dt", [0.01, 0.3, 50.0])
+    def test_random_hermitian_matches_scipy_and_eigh(self, dt):
+        nrng = np.random.Generator(np.random.Philox(64))
+        a = nrng.normal(size=(64, 64)) + 1j * nrng.normal(size=(64, 64))
+        h = a + a.conj().T
+        # The 1-norm of dt * h is about 1.1 at dt 0.01, which needs no
+        # scaling; 0.3 and 50 take 3 and 11 squarings.
+        scaled = dt * np.abs(h).sum(axis=0).max() > dynamics._THETA13
+        assert scaled == (dt != 0.01)
+        u = dynamics._exp_hermitian(h, dt)
+        assert np.abs(u - scipy.linalg.expm(-1j * dt * h)).max() <= 1e-13
+        assert np.abs(u - expm_eigh(h, dt)).max() <= 1e-12
+
+    def test_opposite_step_is_conjugate_transpose(self, monkeypatch):
+        gen = expand_reachable(reference_seed(), reference_rules(), max_dim=96, accept_truncation=True)
+        steps = []
+        exp = dynamics._exp_hermitian
+        monkeypatch.setattr(dynamics, "_exp_hermitian", lambda h, t: steps.append(t) or exp(h, t))
+        forward = gen.propagator(0.2)
+        assert np.array_equal(gen.propagator(-0.2), forward.conj().T)
+        assert steps == [0.2]
+        assert np.abs(gen.propagator(-0.2) @ forward - np.eye(gen.dim)).max() <= PRUNE_TOLERANCE
+
+    @pytest.mark.parametrize("entry", [math.inf, math.nan, 1e308])
+    def test_norm_past_double_precision_gives_nan(self, entry):
+        h = np.array([[0.0, entry], [entry, 0.0]])
+        assert np.isnan(dynamics._exp_hermitian(h, 0.3)).all()
 
 
 class TestInterference:
