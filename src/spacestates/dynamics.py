@@ -22,7 +22,9 @@ canonically labeled. Evolution applies the matrix exponential on that
 truncated basis, by degree-13 Padé approximation with scaling and squaring
 (Higham 2005, the method behind `scipy.linalg.expm`) in numpy alone. The
 couplings are real, so the generator is float64 and every matrix power is a
-real product; only the final solve and the squarings are complex.
+real product; only the final solve and the squarings are complex. The
+generator's index iterates in entry-key order, so `evolve` reads its sorted
+result straight off it, with one pruning mask over the evolved vector.
 """
 
 from __future__ import annotations
@@ -307,9 +309,10 @@ class Generator:
     boundary: frozenset[int]
 
     def index(self) -> Mapping[EntryKey, int]:
+        """Basis position of each entry key, iterating in key order; memoized."""
         cached = self.__dict__.get("_index")
         if cached is None:
-            cached = {entry_key(s): i for i, s in enumerate(self.basis)}
+            cached = dict(sorted((entry_key(s), i) for i, s in enumerate(self.basis)))
             object.__setattr__(self, "_index", cached)
         return cached
 
@@ -462,12 +465,12 @@ def evolve(psi: Wavefunctional, gen: Generator, dt: float, steps: int) -> Wavefu
     if steps < 0:
         raise ValueError("steps must be >= 0")
     index = gen.index()
-    for key in psi.entries:
-        if key not in index:
-            raise ValueError("wavefunctional support escapes the generator basis")
     v = np.zeros(gen.dim, dtype=complex)
-    for key, (state, amp) in psi.entries.items():
-        v[index[key]] = amp
+    for key, (_state, amp) in psi.entries.items():
+        i = index.get(key)
+        if i is None:
+            raise ValueError("wavefunctional support escapes the generator basis")
+        v[i] = amp
     if steps > 0 and gen.dim > 0:
         u = gen.propagator(dt)
         for _ in range(steps):
@@ -477,11 +480,11 @@ def evolve(psi: Wavefunctional, gen: Generator, dt: float, steps: int) -> Wavefu
             raise NumericalFailure(
                 f"evolved amplitudes are not finite (dt {dt!r}, largest |H| entry {largest:.3e})"
             )
-    entries = {}
-    for key, i in sorted(index.items()):
-        amp = complex(v[i])
-        if abs(amp) > PRUNE_TOLERANCE:
-            entries[key] = (gen.basis[i], amp)
+    # The index iterates in key order, so the entries come out sorted.
+    keep = (np.abs(v) > PRUNE_TOLERANCE).tolist()
+    amps = v.tolist()
+    basis = gen.basis
+    entries = {key: (basis[i], amps[i]) for key, i in index.items() if keep[i]}
     return Wavefunctional(entries, psi.epoch + 1)
 
 

@@ -20,6 +20,11 @@ from .spacegraph import SpaceState, as_fraction
 
 @dataclass(frozen=True)
 class MacroPartition:
+    """A named classifier from space-states to macro labels. The classifier
+    must be invariant under vertex relabeling (as well as cell indices and
+    global phase offsets): `branching.track` labels one state per canonical
+    key and gives its label to every isomorphic state."""
+
     name: str
     classifier: Callable[[SpaceState], str]
     # Explicit label universe; None means the label set is open-ended.

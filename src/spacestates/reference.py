@@ -7,8 +7,10 @@ subgraphs by enumerating connected induced vertex subsets, refinement counts
 by materializing every dyadic cell, sampler counts by one inverse-CDF search
 over all draws at once, and the propagator by an eigendecomposition.
 Branch components and irreversibility are decided pair by pair with these
-brute-force tests, not through fragment signatures. The verification suite
-and the test oracles compare the fast paths against these.
+brute-force tests, not through fragment signatures. `per_epoch_track`
+rebuilds, labels and links every epoch's nodes from scratch, where `track`
+reuses an epoch's groups while its entry keys stay the same. The
+verification suite and the test oracles compare the fast paths against these.
 """
 
 from __future__ import annotations
@@ -20,10 +22,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .branching import BranchTree, _descendants_at
+from .branching import (
+    BranchEvent,
+    BranchNode,
+    BranchTree,
+    EmptySupport,
+    _assoc_overlap,
+    _components,
+    _descendants_at,
+)
 from .macrostates import MacroPartition
 from .spacegraph import AssocKind, SpaceState
-from .wavefunctional import DensitizedView, EntryKey
+from .wavefunctional import DensitizedView, EntryKey, Wavefunctional
 
 
 def _labels(state: SpaceState) -> dict[int, tuple]:
@@ -202,6 +212,102 @@ def pairwise_irreversible(tree: BranchTree, horizon: int) -> list[bool]:
             )
         verdicts.append(not reversible)
     return verdicts
+
+
+def per_epoch_track(
+    psi_series: list[Wavefunctional], partition: MacroPartition, k_min: int = 2
+) -> BranchTree:
+    """`branching.track` with every epoch done in full: each entry labeled,
+    every epoch's nodes grouped afresh and linked to the previous epoch's by
+    their overlaps, whether or not the support changed."""
+    if not psi_series:
+        raise EmptySupport("empty series")
+    nodes: list[BranchNode] = []
+    events: list[BranchEvent] = []
+    states: dict[bytes, SpaceState] = {}
+    support: set[bytes] = set()
+    previous: list[BranchNode] = []
+    roots: list[BranchNode] = []
+
+    for epoch, psi in enumerate(psi_series):
+        if len(psi) == 0:
+            raise EmptySupport(f"empty support at epoch {epoch}")
+        for key in psi.sorted_keys():
+            states.setdefault(key[0], psi.entries[key][0])
+        ckeys = {key[0] for key in psi.entries}
+        if ckeys != support:
+            support = ckeys
+            comp = _components({ck: states[ck] for ck in support}, k_min)
+
+        grouped: dict[tuple[int, str], list[EntryKey]] = {}
+        for key in psi.sorted_keys():
+            state = psi.entries[key][0]
+            group = (comp[key[0]], partition.label_of(state))
+            grouped.setdefault(group, []).append(key)
+
+        current: list[BranchNode] = []
+        for (comp_id, label), keys in grouped.items():
+            weight = sum(abs(psi.entries[k][1]) ** 2 for k in keys)
+            current.append(
+                BranchNode(-1, epoch, label, frozenset(keys), weight)
+            )
+        current.sort(key=BranchNode.sort_signature)
+        for node in current:
+            node.node_id = len(nodes)
+            nodes.append(node)
+
+        if epoch == 0:
+            roots.extend(current)
+        else:
+            for child in current:
+                positive: list[tuple[int, BranchNode]] = []
+                for parent_node in previous:
+                    ov = len(child.member_keys & parent_node.member_keys)
+                    if ov > 0:
+                        positive.append((ov, parent_node))
+                if not positive:
+                    # No surviving keys: link by associability overlap instead.
+                    for parent_node in previous:
+                        ov = _assoc_overlap(child, parent_node, states, k_min)
+                        if ov > 0:
+                            positive.append((ov, parent_node))
+                if not positive:
+                    roots.append(child)
+                    continue
+                # Maximal overlap wins; ties break on canonical key order.
+                top = max(ov for ov, _ in positive)
+                parent_node = sorted(
+                    (p for ov, p in positive if ov == top),
+                    key=lambda p: sorted(p.member_keys),
+                )[0]
+                child.parent = parent_node
+                parent_node.children.append(child)
+                if len(positive) >= 2:
+                    parents = sorted({p.node_id for _, p in positive})
+                    events.append(
+                        BranchEvent(
+                            epoch=epoch,
+                            kind="merge",
+                            parent_ids=parents,
+                            child_ids=[child.node_id],
+                            weights=[child.weight],
+                        )
+                    )
+            for parent_node in previous:
+                if len(parent_node.children) >= 2:
+                    children = sorted(parent_node.children, key=lambda c: c.node_id)
+                    events.append(
+                        BranchEvent(
+                            epoch=epoch,
+                            kind="branch",
+                            parent_ids=[parent_node.node_id],
+                            child_ids=[c.node_id for c in children],
+                            weights=[c.weight for c in children],
+                        )
+                    )
+        previous = current
+
+    return BranchTree(nodes, roots, events, len(psi_series), states, k_min)
 
 
 def expm_eigh(h: np.ndarray, t: float) -> np.ndarray:

@@ -303,15 +303,28 @@ def gauge_equivalent(a: SpaceState, b: SpaceState) -> bool:
 
 
 def _refine(colors: list[int], adj: list[tuple[tuple[int, int], ...]]) -> list[int]:
+    """Refine to a stable coloring, ranked 0..m-1. A vertex is keyed by its
+    color and the sorted (length, neighbour color) pairs, each encoded as
+    length * base + color with base above every color, which orders them as
+    the pairs would. A vertex alone in its color class keeps its place
+    whatever its neighbours are, so its key skips them. At least one pass
+    runs, so an input such as [1, 3] comes back ranked."""
     n_colors = len(set(colors))
     while True:
+        base = max(colors, default=0) + 1
+        size = [0] * base
+        for color in colors:
+            size[color] += 1
         keys = [
-            (color, tuple(sorted([(length, colors[u]) for u, length in nbrs])))
+            (color, ())
+            if size[color] == 1
+            else (color, tuple(sorted([length * base + colors[u] for u, length in nbrs])))
             for color, nbrs in zip(colors, adj)
         ]
         ranking = {key: i for i, key in enumerate(sorted(set(keys)))}
         colors = [ranking[key] for key in keys]
-        if len(ranking) == n_colors:
+        # A discrete coloring, now ranked, is stable: the next pass is the identity.
+        if len(ranking) == n_colors or len(ranking) == len(colors):
             return colors
         n_colors = len(ranking)
 

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,11 +24,13 @@ from spacestates import (
 from spacestates import branching
 from spacestates.branching import _assoc_overlap, _components, branch_events_jsonl
 from spacestates.corpus import random_space_state
+from spacestates.macrostates import MacroPartition
 from spacestates.reference import (
     brute_force_assoc_kind,
     pairwise_associable,
     pairwise_components,
     pairwise_irreversible,
+    per_epoch_track,
 )
 
 from conftest import count_rule_applications, path_state, uniform_path
@@ -372,3 +375,110 @@ class TestPairwiseOracles:
                         assert _assoc_overlap(child, parent, tree.states, k_min) == pairs
         assert events > 0
 
+
+
+def tree_records(tree):
+    """Every node (id, epoch, label, member keys, exact weight, parent id,
+    child ids), the root ids and the events of a tree."""
+    nodes = [
+        (n.node_id, n.epoch, n.macro_label, n.member_keys, n.weight,
+         None if n.parent is None else n.parent.node_id, [c.node_id for c in n.children])
+        for n in tree.nodes
+    ]
+    return nodes, [r.node_id for r in tree.roots], tree.events, sorted(tree.states), tree.epochs
+
+
+def link_kinds(tree):
+    """Counts of children whose key overlap ties between parents, and of
+    children linked by the associability fallback."""
+    ties = fallbacks = 0
+    for child in tree.nodes:
+        if child.epoch == 0 or child.parent is None:
+            continue
+        overlaps = [len(child.member_keys & p.member_keys) for p in tree.nodes_at(child.epoch - 1)]
+        ties += max(overlaps) > 0 and overlaps.count(max(overlaps)) > 1
+        fallbacks += max(overlaps) == 0
+    return ties, fallbacks
+
+
+class TestIncrementalTrack:
+    """`track` against `reference.per_epoch_track`, which does every epoch in full."""
+
+    @pytest.mark.parametrize("k_min", (1, 2, 3))
+    @pytest.mark.parametrize("max_dim", (96, 300))
+    def test_reference_series_match_per_epoch_track(self, max_dim, k_min):
+        part = vertex_count_partition(1)
+        for series in reference_series(max_dim):
+            # The support is the whole basis for five epochs in a row, so
+            # most epochs reuse their groups.
+            assert sum(a.entries.keys() == b.entries.keys() for a, b in zip(series, series[1:])) == 5
+            assert tree_records(track(series, part, k_min)) == tree_records(per_epoch_track(series, part, k_min))
+
+    def test_scenario_series_match_per_epoch_track(self):
+        # Two dissociated sides merge through the bridge M with tied key
+        # overlaps, stay merged (adding the A1 cell variant, which shares
+        # A1's canonical key), split when M leaves and are replaced by grown
+        # states that no key links.
+        a1_cell = A1.with_cell_index((1,))
+        supports = [
+            [(A1, 0.6), (B1, 0.8)],
+            [(A1, 0.5), (M, 0.5), (B1, math.sqrt(0.5))],
+            [(A1, 0.3), (M, 0.4), (B1, math.sqrt(0.75))],
+            [(A1, 0.6), (a1_cell, 0.48), (M, 0.48), (B1, 0.42)],
+            [(A1, 0.8), (B1, 0.6)],
+            [(A2, 0.6), (B2, 0.8)],
+        ]
+        series = [Wavefunctional.from_states(pairs) for pairs in supports]
+        tree = track(series, SIDE_PARTITION, k_min=1)
+        assert tree_records(tree) == tree_records(per_epoch_track(series, SIDE_PARTITION, k_min=1))
+        assert tree.branch_counts() == [2, 1, 1, 1, 2, 2]
+        assert link_kinds(tree) == (1, 2)
+        assert [e.kind for e in tree.events] == ["merge", "branch"]
+
+    def test_random_series_match_per_epoch_track(self):
+        # Paths over three species blocks: {1, 2} and {3, 4} associate only
+        # through a {2, 3} bridge, so nodes split and merge, with some ties.
+        # The series revisits three supports, in stretches and returns.
+        rng = random.Random(11)
+
+        def random_path(species):
+            n = rng.randint(2, 4)
+            labels = [(rng.choice(species), 1, 0) for _ in range(n)]
+            return path_state(labels, [rng.randint(1, 2) for _ in range(n - 1)])
+
+        stretches = returns = ties = fallbacks = 0
+        for _ in range(8):
+            pool = [random_path(species) for species in [(1, 2)] * 3 + [(3, 4)] * 3 + [(2, 3)] * 2]
+            pool += [s.with_cell_index((1,)) for s in rng.sample(pool, 2)]
+            supports = [rng.sample(pool, rng.randint(1, 6)) for _ in range(3)]
+            picks = [rng.randrange(3) for _ in range(8)]
+            stretches += sum(a == b for a, b in zip(picks, picks[1:]))
+            returns += sum(p != picks[i - 1] and p in picks[: i - 1] for i, p in enumerate(picks) if i > 1)
+            series = [
+                Wavefunctional.from_states((s, rng.uniform(0.1, 1.0)) for s in supports[p]) for p in picks
+            ]
+            for k_min in (1, 2, 3):
+                tree = track(series, vertex_count_partition(1), k_min)
+                assert tree_records(tree) == tree_records(per_epoch_track(series, vertex_count_partition(1), k_min))
+                t, f = link_kinds(tree)
+                ties, fallbacks = ties + t, fallbacks + f
+        assert min(stretches, returns, ties, fallbacks) > 0
+
+    def test_classifier_runs_once_per_canonical_key(self):
+        calls = Counter()
+
+        def classify(state):
+            calls[state.canonical_key] += 1
+            return str(state.n)
+
+        part = MacroPartition("counting", classify)
+        a1_cell = A1.with_cell_index((1,))
+        scenario = [
+            Wavefunctional.from_states([(A1, 0.6), (a1_cell, 0.8)]),
+            Wavefunctional.from_states([(A1, 0.6), (M, 0.8)]),
+            Wavefunctional.from_states([(a1_cell, 0.6), (B1, 0.8)]),
+        ]
+        for series in (*reference_series(96), scenario):
+            calls.clear()
+            tree = track(series, part, k_min=2)
+            assert calls == Counter(dict.fromkeys(tree.states, 1))

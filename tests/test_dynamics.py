@@ -34,7 +34,7 @@ from spacestates import (
 from spacestates import dynamics, spacegraph
 from spacestates.corpus import random_space_state
 from spacestates.reference import expm_eigh
-from spacestates.wavefunctional import PRUNE_TOLERANCE
+from spacestates.wavefunctional import PRUNE_TOLERANCE, entry_key
 
 from conftest import count_rule_applications, nine_vertex_pair, path_state, uniform_path
 
@@ -591,6 +591,31 @@ class TestEvolve:
         gen = expand_reachable(Wavefunctional.from_states([(uniform_path(2), 1.0)]), [], 4)
         with pytest.raises(ValueError):
             evolve(psi, gen, 0.1, 1)
+
+    def test_prune_drops_amplitude_at_tolerance_and_keeps_one_above(self):
+        # Built directly: from_states would already drop the entry at the
+        # tolerance. With no step the amplitudes are read back unchanged.
+        states = (uniform_path(2), uniform_path(3), uniform_path(4))
+        gen = Generator(states, np.zeros((3, 3)), frozenset())
+        above = math.nextafter(PRUNE_TOLERANCE, 1.0)
+        amps = (0.6 + 0.8j, complex(PRUNE_TOLERANCE), 1j * above)
+        psi = Wavefunctional({entry_key(s): (s, a) for s, a in zip(states, amps)})
+        out = evolve(psi, gen, 0.3, 0)
+        assert list(out.entries) == [entry_key(states[0]), entry_key(states[2])]
+        assert [amp for _state, amp in out.entries.values()] == [amps[0], amps[2]]
+
+    def test_entries_and_index_iterate_in_key_order(self):
+        states = (uniform_path(4), uniform_path(2), uniform_path(5), uniform_path(3))
+        nrng = np.random.Generator(np.random.Philox(3))
+        a = nrng.normal(size=(4, 4))
+        gen = Generator(states, a + a.T, frozenset())
+        keys = [entry_key(s) for s in states]
+        index = gen.index()
+        assert list(index) == sorted(keys) != keys
+        assert all(keys[i] == key for key, i in index.items())
+        out = evolve(Wavefunctional.from_states([(states[0], 1.0)]), gen, 0.2, 3)
+        assert list(out.entries) == sorted(keys)
+        assert all(out.entries[key][0] is states[i] for key, i in index.items())
 
 
 class TestPropagator:

@@ -203,6 +203,38 @@ class TestTwinPruning:
         assert calls[0] >= 1
 
 
+def tuple_refine(colors, adj):
+    """Color refinement keyed by (color, sorted (length, neighbour color)
+    pairs) until the number of colors stops growing, ranked 0..m-1."""
+    n_colors = len(set(colors))
+    while True:
+        keys = [(c, tuple(sorted((length, colors[u]) for u, length in nbrs))) for c, nbrs in zip(colors, adj)]
+        ranking = {key: i for i, key in enumerate(sorted(set(keys)))}
+        colors = [ranking[key] for key in keys]
+        if len(ranking) == n_colors:
+            return colors
+        n_colors = len(ranking)
+
+
+class TestRefine:
+    def test_discrete_input_comes_back_ranked(self):
+        assert spacegraph._refine([1, 3], [((1, 0),), ((0, 0),)]) == [0, 1]
+
+    def test_matches_tuple_keyed_refinement(self):
+        rng = random.Random(5)
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            adj = [{} for _ in range(n)]
+            for _ in range(rng.randint(0, 2 * n)):
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v:
+                    adj[u][v] = adj[v][u] = rng.randint(0, 3)
+            pairs = [tuple(nbrs.items()) for nbrs in adj]
+            # Colors past n, as a fragment's parent label ranks can be.
+            colors = [rng.choice((0, 2, 5, 3 * n + 7)) for _ in range(n)]
+            assert spacegraph._refine(colors, pairs) == tuple_refine(colors, pairs)
+
+
 def key_digest(states):
     """SHA-256 over the sorted canonical keys, then the sorted gauge keys."""
     digest = hashlib.sha256()
