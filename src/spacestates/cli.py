@@ -66,8 +66,9 @@ ENV_PREFIX = "SPACESTATES_"
 NORM_DRIFT_LIMIT = 1e-8
 
 # Upper bounds on the sizes a config may ask for, so that every accepted
-# config runs in bounded time and memory: a dense complex generator at
-# MAX_DIM_LIMIT takes 64 MiB.
+# config runs in bounded time and memory. The float64 generator takes
+# 32 MiB at MAX_DIM_LIMIT; the dense Padé propagator sets the limit, with a
+# peak of about 628 MB in a fresh `run` at 2048 (1 BLAS thread).
 MAX_DIM_LIMIT = 2048
 EPOCHS_LIMIT = 1000
 STEPS_LIMIT = 1000

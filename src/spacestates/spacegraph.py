@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,9 +171,6 @@ class FieldConfig:
                 return rec
         raise KeyError(vertex)
 
-    def as_dict(self) -> dict[int, VertexField]:
-        return dict(self.fields)
-
     def charged_vertices(self) -> tuple[int, ...]:
         return tuple(v for v, rec in self.fields if rec.charged)
 
@@ -229,8 +226,15 @@ class SpaceState:
         return self.geometry.n
 
     @cached_property
+    def _form(self) -> tuple["Ranks", "Form"]:
+        """The state's form and the table its ranks index: the state's own
+        table, unless the state was built from a table that covers it."""
+        ranks = Ranks([self])
+        return ranks, ranks.forms[0]
+
+    @cached_property
     def canonical_key(self) -> bytes:
-        return _canonical_bytes(self)
+        return _label_form(*self._form)
 
     @cached_property
     def gauge_key(self) -> bytes:
@@ -249,8 +253,8 @@ class SpaceState:
 
     def with_cell_index(self, cell_index: Sequence[int]) -> "SpaceState":
         twin = SpaceState(self.geometry, self.fields, tuple(cell_index))
-        # Keys and fragments ignore the cell index, so the memos carry over.
-        for name in ("canonical_key", "gauge_key", "_fragments"):
+        # Forms, keys and fragments ignore the cell index, so the memos carry over.
+        for name in ("_form", "canonical_key", "gauge_key", "_fragments"):
             if name in self.__dict__:
                 twin.__dict__[name] = self.__dict__[name]
         return twin
@@ -288,12 +292,14 @@ def gauge_equivalent(a: SpaceState, b: SpaceState) -> bool:
 # ---------------------------------------------------------------------------
 # Canonical labeling: iterated color refinement with edge labels, followed by
 # individualization over the smallest ambiguous color class; the canonical
-# form is the minimum byte string over all branches. Each state is mapped to
-# small ints once (vertices to 0..n-1, labels and lengths to their ranks among
-# the state's sorted distinct values, which keeps their order), and the text
-# of every label and length is built once. Fragments are labeled from their
-# parent's form, whose ranks order their labels and lengths as their own would,
-# so the bytes do not change. Twin pruning (McKay & Piperno, "Practical graph
+# form is the minimum byte string over all branches. A state is labeled from
+# its `Form`: vertices 0..n-1, and labels and lengths as their ranks in a
+# `Ranks` table, which orders them by exact value and holds the text of each.
+# Every table that covers a state orders its labels and lengths alike, and
+# the text is read only in the leaves, so the key does not depend on the
+# table. A state is ranked once: its form is memoized, on its own table or
+# on the table of the expansion that built it, and its fragments are labeled
+# from that form too. Twin pruning (McKay & Piperno, "Practical graph
 # isomorphism II", 2014): twins have the same label and the same neighbours
 # and lengths outside the pair, so swapping them is an automorphism that fixes
 # every individualized vertex and maps the subtree under one onto the subtree
@@ -329,50 +335,99 @@ def _refine(colors: list[int], adj: list[tuple[tuple[int, int], ...]]) -> list[i
         n_colors = len(ranking)
 
 
-def _ranks(text: Sequence[str], values: Sequence) -> dict[str, int]:
-    """Rank of each distinct text among the sorted distinct values; a text
-    names its exact value, so the Fractions are only compared, never hashed."""
-    distinct = dict(zip(text, values))
-    return {t: r for r, t in enumerate(sorted(distinct, key=distinct.__getitem__))}
-
-
-FormEdge = tuple[int, int, str, int]
-
-
 def _field_text(rec: VertexField) -> str:
     """The text of a vertex label in canonical forms; it names the exact value."""
     return f"{rec.species_tag},{rec.matter_amplitude},{rec.u1_phase.turns}"
 
 
-def _int_form(state: SpaceState) -> tuple[list[str], list[int], list[FormEdge]]:
-    """Label text and rank of vertices 0..n-1, and edges (i, j, length text, length rank)."""
-    records = [rec for _, rec in state.fields.fields]
-    label_text = [_field_text(rec) for rec in records]
-    label_rank = _ranks(label_text, [rec.label() for rec in records])
-    geometry_edges = state.geometry.edges
-    length_text = [str(length) for _, _, length in geometry_edges]
-    length_rank = _ranks(length_text, [length for _, _, length in geometry_edges])
-    index = {v: i for i, v in enumerate(state.geometry.vertices)}
-    edges = [(index[u], index[v], t, length_rank[t]) for (u, v, _), t in zip(geometry_edges, length_text)]
-    return label_text, [label_rank[t] for t in label_text], edges
+class Form(NamedTuple):
+    """A state in small ints: the label rank of vertices 0..n-1, and edges
+    (i, j, length rank). Ranks index a `Ranks` table."""
+
+    labels: tuple[int, ...]
+    edges: tuple[tuple[int, int, int], ...]
+
+    def adjacency(self) -> list[dict[int, int]]:
+        adj: list[dict[int, int]] = [{} for _ in self.labels]
+        for i, j, rank in self.edges:
+            adj[i][j] = adj[j][i] = rank
+        return adj
+
+    def is_connected(self) -> bool:
+        return bool(_connected_subsets(self.adjacency(), len(self.labels)))
 
 
-def _canonical_bytes(state: SpaceState) -> bytes:
-    return _label_form(*_int_form(state))
+class Ranks:
+    """Every vertex label and edge length of some states and rule fragments,
+    ranked by exact value, with the text and the value of each beside its
+    rank, and `forms`, the form of each of those states in turn. A rule
+    application only copies labels and lengths from its source and its
+    replacement, so one table built from the seed states and the rule
+    fragments covers every state an expansion reaches."""
+
+    def __init__(self, states: Iterable[SpaceState]):
+        fields: dict[str, VertexField] = {}
+        lengths: dict[str, Fraction] = {}
+        texts = []
+        for state in states:
+            records = [rec for _, rec in state.fields.fields]
+            weights = [w for _, _, w in state.geometry.edges]
+            label_text = [_field_text(rec) for rec in records]
+            length_text = [str(w) for w in weights]
+            fields.update(zip(label_text, records))
+            lengths.update(zip(length_text, weights))
+            texts.append((state, label_text, length_text))
+        # A text names its exact value, so the Fractions are only compared, never hashed.
+        self.field_text = sorted(fields, key=lambda t: fields[t].label())
+        self.length_text = sorted(lengths, key=lengths.__getitem__)
+        field_rank = {t: r for r, t in enumerate(self.field_text)}
+        length_rank = {t: r for r, t in enumerate(self.length_text)}
+        self.fields = [fields[t] for t in self.field_text]
+        self.lengths = [lengths[t] for t in self.length_text]
+        self.forms: list[Form] = []
+        for state, label_text, length_text in texts:
+            # Vertices are numbered by position in sorted order.
+            position = {v: i for i, v in enumerate(state.geometry.vertices)}
+            edges = zip(state.geometry.edges, length_text)
+            self.forms.append(
+                Form(
+                    tuple(field_rank[t] for t in label_text),
+                    tuple((position[u], position[v], length_rank[t]) for (u, v, _), t in edges),
+                )
+            )
+
+    def key(self, form: Form) -> bytes:
+        """The canonical key of the form's state."""
+        return _label_form(self, form)
+
+    def state(self, form: Form, cell_index: tuple[int, ...], key: bytes | None = None) -> SpaceState:
+        """The validated state with vertices 0..n-1 that the form describes.
+        It keeps the form on this table as its own, and `key`, the form's
+        canonical key when the caller has it, as its canonical key."""
+        edges = tuple((i, j, self.lengths[rank]) for i, j, rank in form.edges)
+        graph = SpaceGraph(tuple(range(len(form.labels))), edges)
+        fields = FieldConfig(tuple((v, self.fields[rank]) for v, rank in enumerate(form.labels)))
+        state = SpaceState(graph, fields, cell_index)
+        state.__dict__["_form"] = (self, form)
+        if key is not None:
+            state.__dict__["canonical_key"] = key
+        return state
 
 
-def _label_form(label_text: list[str], label_rank: list[int], edges: list[FormEdge]) -> bytes:
-    adj: list[dict[int, int]] = [{} for _ in label_text]
-    for i, j, _, rank in edges:
-        adj[i][j] = adj[j][i] = rank
+def _label_form(ranks: Ranks, form: Form) -> bytes:
+    labels, edges = form
+    field_text, length_text = ranks.field_text, ranks.length_text
+    adj = form.adjacency()
     pairs = [tuple(nbrs.items()) for nbrs in adj]
-    head = [str(len(label_text))]
+    head = [str(len(labels))]
 
     def leaf(pos: list[int]) -> bytes:
         # A discrete coloring ranks the vertices 0..n-1: color is position.
+        # No two edges join the same pair, so the length never breaks a tie.
         order = sorted(range(len(pos)), key=pos.__getitem__)
-        lines = sorted((min(pos[i], pos[j]), max(pos[i], pos[j]), text) for i, j, text, _ in edges)
-        parts = head + [label_text[v] for v in order] + [f"{i},{j},{text}" for i, j, text in lines]
+        lines = sorted((min(pos[i], pos[j]), max(pos[i], pos[j]), rank) for i, j, rank in edges)
+        parts = head + [field_text[labels[v]] for v in order]
+        parts += [f"{i},{j},{length_text[rank]}" for i, j, rank in lines]
         return ";".join(parts).encode("ascii")
 
     def twins(u: int, v: int) -> bool:
@@ -404,7 +459,7 @@ def _label_form(label_text: list[str], label_rank: list[int], edges: list[FormEd
                 best = cand
         return best
 
-    return search(label_rank)
+    return search(list(labels))
 
 
 def _gauge_canonical_bytes(state: SpaceState) -> bytes:
@@ -475,7 +530,7 @@ def check_fragment_count(n: int, k: int, name: str = "k_min") -> None:
         )
 
 
-def _connected_subsets(adj: list[set[int]], k: int) -> list[tuple[int, ...]]:
+def _connected_subsets(adj: list[dict[int, int]], k: int) -> list[tuple[int, ...]]:
     """Every connected k-vertex subset (k >= 1), in lexicographic order: each
     of the C(n, k) candidates is tried once, by a search from its smallest
     vertex that stays inside the candidate, so `check_fragment_count` bounds
@@ -486,7 +541,7 @@ def _connected_subsets(adj: list[set[int]], k: int) -> list[tuple[int, ...]]:
         reached = {subset[0]}
         todo = [subset[0]]
         while todo:
-            fresh = (adj[todo.pop()] & members) - reached
+            fresh = (adj[todo.pop()].keys() & members) - reached
             reached |= fresh
             todo.extend(fresh)
         if len(reached) == k:
@@ -506,27 +561,23 @@ def fragment_signatures(state: SpaceState, k_min: int) -> frozenset[bytes]:
         if k_min < 1:
             raise ValueError("k_min must be >= 1")
         check_fragment_count(state.n, k_min)
-        label_text, label_rank, edges = _int_form(state)
+        ranks, form = state._form
+        labels, text = form.labels, ranks.field_text
         sigs = {b"g" + state.gauge_key}
         if k_min == 1:
             # The connected fragments of one vertex are the vertices, and of
             # two the edges; their keys are what `_label_form` writes, the
             # lower-ranked label first.
-            sigs.update(f"f1;{text}".encode("ascii") for text in label_text)
+            sigs.update(f"f1;{text[r]}".encode("ascii") for r in labels)
         elif k_min == 2:
-            for i, j, text, _ in edges:
-                lo, hi = (i, j) if label_rank[i] <= label_rank[j] else (j, i)
-                sigs.add(f"f2;{label_text[lo]};{label_text[hi]};0,1,{text}".encode("ascii"))
+            for i, j, rank in form.edges:
+                lo, hi = sorted((labels[i], labels[j]))
+                sigs.add(f"f2;{text[lo]};{text[hi]};0,1,{ranks.length_text[rank]}".encode("ascii"))
         else:
-            adj: list[set[int]] = [set() for _ in label_text]
-            for i, j, _, _ in edges:
-                adj[i].add(j)
-                adj[j].add(i)
-            for subset in _connected_subsets(adj, k_min):
-                pos = {v: i for i, v in enumerate(sorted(subset))}
-                sub_edges = [(pos[i], pos[j], t, r) for i, j, t, r in edges if i in pos and j in pos]
-                sub_text = [label_text[v] for v in pos]
-                sigs.add(b"f" + _label_form(sub_text, [label_rank[v] for v in pos], sub_edges))
+            for subset in _connected_subsets(form.adjacency(), k_min):
+                pos = {v: i for i, v in enumerate(subset)}
+                sub_edges = tuple((pos[i], pos[j], r) for i, j, r in form.edges if i in pos and j in pos)
+                sigs.add(b"f" + _label_form(ranks, Form(tuple(labels[v] for v in subset), sub_edges)))
         cached = state._fragments[k_min] = frozenset(sigs)
     return cached
 

@@ -293,12 +293,13 @@ class TestRun:
 
     def test_overflowing_reference_couplings_exit_4(self, tmp_path, capsys):
         # Summed couplings of 1e308 overflow generator entries to inf, so the
-        # generator's 1-norm is infinite.
+        # generator's 1-norm is infinite; generator assembly warns of it.
         rules = (CONFIG_DIR / "reference_branching.rul").read_text()
         huge_rules = tmp_path / "huge.rul"
         huge_rules.write_text(rules.replace("rule 0 0.9", "rule 0 1e308").replace("rule 1 0.7", "rule 1 1e308"))
         path = reference_config(tmp_path, rules_file=str(huge_rules))
-        assert invoke("run", str(path)) == 4
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert invoke("run", str(path)) == 4
         assert "not finite (dt 0.2, largest |H| entry inf)" in capsys.readouterr().err
 
     def test_norm_drift_exits_4_and_writes_nothing(self, tmp_path, capsys):

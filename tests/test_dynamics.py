@@ -335,8 +335,9 @@ class TestExpandReachable:
     @pytest.mark.parametrize("case", ("reference", "three_rule_with_shrink", "non_contiguous_seed"))
     def test_preset_keys_match_fresh_labeling(self, case):
         # Admitted states carry the key computed from the expansion's rank
-        # table; it must equal a fresh labeling on the state's own ranks, and
-        # the public apply_rule path must key every result as the form path.
+        # table; it must equal the key of a freshly parsed copy, ranked on its
+        # own table, and the public apply_rule path must key every result as
+        # the form path.
         if case == "reference":
             seed = ssg1_loads((CONFIG_DIR / "reference_branching.ssg").read_text())
             rules, max_dim = reference_rules(), 96
@@ -346,18 +347,37 @@ class TestExpandReachable:
             if case == "non_contiguous_seed":
                 seed = relabeled(seed, {0: 10, 1: 3, 2: 7, 3: 12})
         gen = expand_reachable(Wavefunctional.from_states([(seed, 1.0)]), rules, max_dim, accept_truncation=True)
-        ranks = dynamics._Ranks([seed, *(f for r in rules for f in (r.pattern, r.replacement))])
+        fragments = [f for r in rules for f in (r.pattern, r.replacement)]
         for state in gen.basis:
-            assert state.canonical_key == spacegraph._canonical_bytes(state)
-            for rule in rules:
+            assert state.canonical_key == ssg1_loads(ssg1_dumps(state)).canonical_key
+            # A table of the seed and every rule fragment, as the expansion's.
+            ranks = spacegraph.Ranks([state, *fragments, seed])
+            form, *rule_forms, _ = ranks.forms
+            for rule, rule_form in zip(rules, zip(rule_forms[::2], rule_forms[1::2])):
                 public = [
                     result.canonical_key
                     for match in find_matches(rule, state)
                     if (result := apply_rule(rule, state, match)) is not None
                 ]
-                rule_form = (ranks.form(rule.pattern), ranks.form(rule.replacement))
-                forms = dynamics.rule_applications(rule_form, ranks.form(state))
+                forms = dynamics.rule_applications(rule_form, form)
                 assert public == [ranks.key(result) for result in forms]
+
+    @pytest.mark.parametrize("case", ("reference", "three_rule_with_shrink"))
+    def test_preset_forms_give_the_same_fragments(self, case):
+        # Admitted states keep the expansion's form as their own, and their
+        # fragments are labeled from it without ranking the state again;
+        # they must equal the fragments of a freshly parsed copy.
+        if case == "reference":
+            seed, rules, max_dim = reference_seed(), reference_rules(), 300
+        else:
+            seed, rules = three_rule_system()
+            seed, rules, max_dim = Wavefunctional.from_states([(seed, 1.0)]), [*rules, shrink_rule()], 64
+        gen = expand_reachable(seed, rules, max_dim, accept_truncation=True)
+        assert len({id(state._form[0]) for state in gen.basis[1:]}) == 1
+        for state in gen.basis:
+            fresh = ssg1_loads(ssg1_dumps(state))
+            for k_min in (1, 2, 3, 4):
+                assert spacegraph.fragment_signatures(state, k_min) == spacegraph.fragment_signatures(fresh, k_min)
 
     def test_refusal_found_only_by_size_still_raises(self, monkeypatch):
         # At max_dim 3 the seed and the 2 states of level 0 fill the basis;
@@ -764,5 +784,10 @@ class TestRuleFiles:
 
     def test_disconnected_pattern_rejected(self):
         frag = SpaceState.build({0: (1, 1, 0), 1: (1, 1, 0)})
-        with pytest.raises(ValueError, match="connected"):
+        with pytest.raises(ValueError, match="pattern fragment must be connected"):
             RewriteRule(0, frag, frag, 1.0)
+        # A connected pattern with a disconnected replacement: an edge whose
+        # ends come apart.
+        edge = SpaceState.build({0: (1, 1, 0), 1: (1, 1, 0)}, [(0, 1, 1)])
+        with pytest.raises(ValueError, match="replacement fragment must be connected"):
+            RewriteRule(0, edge, frag, 1.0)
