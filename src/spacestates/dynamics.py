@@ -20,12 +20,22 @@ expansion: 0.22 to 0.11 s at `max_dim` 300 and 0.88 to 0.43 s at 1000, on
 2 cores with Python 3.11. Once the basis is full, a result whose vertex and
 edge counts no basis state has is outside it by size alone and is not
 canonically labeled. Evolution applies the matrix exponential on that
-truncated basis, by degree-13 Padé approximation with scaling and squaring
-(Higham 2005, the method behind `scipy.linalg.expm`) in numpy alone. The
-couplings are real, so the generator is float64 and every matrix power is a
-real product; only the final solve and the squarings are complex. The
-generator's index iterates in entry-key order, so `evolve` reads its sorted
-result straight off it, with one pruning mask over the evolved vector.
+truncated basis in numpy alone, by one of two paths chosen by the basis
+size. Below `ACTION_MIN_DIM` (128 states, the measured crossover) it forms
+the dense propagator by degree-13 Padé approximation with scaling and
+squaring (Higham 2005, the method behind `scipy.linalg.expm`), memoized per
+time step and reused for every step. The couplings are real, so the
+generator is float64 and every matrix power is a real product; only the
+final solve and the squarings are complex. From `ACTION_MIN_DIM` on it
+applies exp(-i dt H) to the state vector by the truncated Taylor series of
+Al-Mohy & Higham (2011) over the generator's nonzeros (under 6 per row on
+the reference config), with no n x n temporary: at `max_dim` 2048 a run
+takes 1.3 s and 83 MB against 4.8 s and 628 MB with the propagator (2
+cores, 1 BLAS thread). A step whose Taylor plan needs more products than
+the basis has states (a large norm of dt H) takes the propagator there
+too. The generator's index iterates in entry-key order, so `evolve` reads
+its sorted result straight off it, with one pruning mask over the evolved
+vector.
 """
 
 from __future__ import annotations
@@ -217,6 +227,44 @@ def _exp_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     return u
 
 
+# Al-Mohy & Higham's theta_m for double precision: the largest 1-norm of
+# the exponent at which m Taylor terms of exp(A / s), taken s times, meet a
+# backward error of 2^-53 ("Computing the action of the matrix exponential",
+# SIAM J. Sci. Comput. 2011, Table 3.1; m up to 30 from Higham, "Functions of
+# Matrices", Table A.3).
+_THETA_TAYLOR = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+# Basis size from which `evolve` applies the Taylor action rather than a
+# dense propagator. On the reference generator, 6 steps of dt 0.2 and 6 of
+# -0.2 took (one propagator and 12 products against 12 actions; 1 BLAS
+# thread, best of 15) 1.05 against 2.15 ms at 96, 2.4 against 2.5 ms at
+# 128, 4.1 against 2.6 ms at 160, 18 against 4.4 ms at 300, 0.44 s against
+# 18 ms at 1000 and 3.2 s against 42 ms at 2048.
+ACTION_MIN_DIM = 128
+
+
+def _taylor_plan(norm: float, dim: int) -> tuple[int, int] | None:
+    """The (m, s) of least m * s with norm <= s * theta_m, where norm is the
+    1-norm of the exponent; None when the norm is not finite or the least
+    cost passes dim, where the dense propagator is the cheaper path. A zero
+    norm needs no term, so the action returns its input exactly."""
+    # Each theta_m is below m, so m * s > norm: a norm past dim (or a NaN)
+    # has no plan within dim.
+    if not norm <= dim:
+        return None
+    if norm == 0.0:
+        return 0, 1
+    m, s = min(((m, math.ceil(norm / theta)) for m, theta in _THETA_TAYLOR.items()), key=lambda p: p[0] * p[1])
+    return (m, s) if m * s <= dim else None
+
+
 @dataclass(frozen=True)
 class Generator:
     """Hermitian coupling matrix on a truncated space-state basis; float64
@@ -245,6 +293,59 @@ class Generator:
             u = _exp_hermitian(self.matrix, dt) if back is None else back.conj().T
             cache[dt] = u
         return u
+
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of the matrix's nonzero entries in row-major
+        order, with the values read off the matrix; memoized."""
+        cached = self.__dict__.get("_nonzeros")
+        if cached is None:
+            rows, cols = np.nonzero(self.matrix)
+            cached = (rows, cols, self.matrix[rows, cols])
+            object.__setattr__(self, "_nonzeros", cached)
+        return cached
+
+    def norm1(self) -> float:
+        """The matrix's 1-norm (largest column sum of magnitudes), from its
+        nonzeros; memoized."""
+        cached = self.__dict__.get("_norm1")
+        if cached is None:
+            _rows, cols, vals = self.nonzeros()
+            with np.errstate(over="ignore"):  # an overflowing sum is an infinite norm
+                sums = np.bincount(cols, np.abs(vals), minlength=1)
+            cached = float(sums.max())
+            object.__setattr__(self, "_norm1", cached)
+        return cached
+
+    def exp_action(self, v: np.ndarray, dt: float, plan: tuple[int, int]) -> np.ndarray:
+        """exp(-i * matrix * dt) v for a real matrix, by the truncated Taylor
+        series of Al-Mohy & Higham (2011): s times, up to m terms of
+        exp(-i dt matrix / s), stopping once two successive terms are below
+        2^-53 of the sum (each measured by its largest real or imaginary
+        part). The vector is carried as its real parts followed by its
+        imaginary parts, w = (x, y), on which -i matrix acts as the real
+        operator (x, y) -> (matrix y, -matrix x); each product is then one
+        gather and one `bincount` over twice the nonzeros, and the dense
+        matrix is never touched."""
+        m, s = plan
+        n = len(v)
+        cached = self.__dict__.get("_real_operator")
+        if cached is None:
+            rows, cols, vals = self.nonzeros()
+            cached = (np.concatenate((rows, rows + n)), np.concatenate((cols + n, cols)), np.concatenate((vals, -vals)))
+            object.__setattr__(self, "_real_operator", cached)
+        rows, cols, vals = cached
+        f = np.concatenate((v.real, v.imag))
+        for _ in range(s):
+            b = f
+            c1 = float(np.abs(b).max())
+            for j in range(1, m + 1):
+                b = np.bincount(rows, vals * b[cols], minlength=2 * n) * (dt / (s * j))
+                f = f + b
+                c2 = float(np.abs(b).max())
+                if c1 + c2 <= 2.0**-53 * float(np.abs(f).max()):
+                    break
+                c1 = c2
+        return f[:n] + 1j * f[n:]
 
     @property
     def dim(self) -> int:
@@ -374,7 +475,9 @@ def expand_reachable(
 
 
 def evolve(psi: Wavefunctional, gen: Generator, dt: float, steps: int) -> Wavefunctional:
-    """Apply exp(-i * gen * dt) `steps` times on the truncated basis.
+    """Apply exp(-i * gen * dt) `steps` times on the truncated basis: by the
+    Taylor action on a real generator of at least `ACTION_MIN_DIM` states
+    whose plan fits the basis, and by the memoized propagator otherwise.
 
     A basis has a boundary only when `expand_reachable` accepted truncation,
     so amplitude that reaches the boundary states is evolved, not refused."""
@@ -388,9 +491,16 @@ def evolve(psi: Wavefunctional, gen: Generator, dt: float, steps: int) -> Wavefu
             raise ValueError("wavefunctional support escapes the generator basis")
         v[i] = amp
     if steps > 0 and gen.dim > 0:
-        u = gen.propagator(dt)
-        for _ in range(steps):
-            v = u @ v
+        plan = None
+        if gen.dim >= ACTION_MIN_DIM and gen.matrix.dtype.kind == "f":
+            plan = _taylor_plan(abs(dt) * gen.norm1(), gen.dim)
+        if plan is None:
+            u = gen.propagator(dt)
+            for _ in range(steps):
+                v = u @ v
+        else:
+            for _ in range(steps):
+                v = gen.exp_action(v, dt, plan)
         if not np.isfinite(v).all():
             largest = float(np.abs(gen.matrix).max())
             raise NumericalFailure(

@@ -2,16 +2,18 @@ import random
 
 import pytest
 
-from spacestates import SpaceState, dynamics
+from spacestates import SpaceState, branching, dynamics
 
 
 @pytest.fixture(autouse=True)
 def empty_structure_memo():
-    """Start and end every test with no memoized expansion, so that no test
-    depends on which tests ran before it."""
+    """Start and end every test with no memoized expansion or components,
+    so that no test depends on which tests ran before it."""
     dynamics._STRUCTURE_CACHE.clear()
+    branching._COMPONENT_CACHE.clear()
     yield
     dynamics._STRUCTURE_CACHE.clear()
+    branching._COMPONENT_CACHE.clear()
 
 
 @pytest.fixture

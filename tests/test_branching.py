@@ -266,6 +266,51 @@ class TestAsymmetryExperiment:
             asymmetry_experiment(self._rules(), vertex_count_partition(1), epochs=1, seed=seed, max_dim=48)
         assert calls[0] == 48 * 2
 
+    def test_action_keeps_every_integer_field_of_propagator_evolution(self, monkeypatch):
+        # Past the crossover `evolve` applies the Taylor action; with the
+        # crossover moved out of reach the same seeds take the propagator.
+        from spacestates import Generator, dynamics, rul1_loads
+
+        rules = rul1_loads((CONFIG_DIR / "reference_branching.rul").read_text())
+        propagators = []
+        propagator = Generator.propagator
+        monkeypatch.setattr(Generator, "propagator", lambda g, dt: propagators.append(dt) or propagator(g, dt))
+
+        def summaries():
+            runs = [(seed, 0.2, 300) for seed in range(12)] + [(seed, 0.25, 200) for seed in range(4)]
+            return [
+                asymmetry_experiment(rules, vertex_count_partition(1), 6, seed, dt=dt, max_dim=max_dim)
+                for seed, dt, max_dim in runs
+            ]
+
+        action = summaries()
+        assert propagators == []
+        monkeypatch.setattr(dynamics, "ACTION_MIN_DIM", 10**9)
+        dense = summaries()
+        assert len(propagators) == 2 * 6 * len(dense)
+        for a, d in zip(action, dense):
+            for x, y in ((a.forward, d.forward), (a.backward, d.backward)):
+                assert (x.branch_counts, x.branch_events, x.merge_events) == (
+                    y.branch_counts,
+                    y.branch_events,
+                    y.merge_events,
+                )
+                assert max(abs(p - q) for p, q in zip(x.entropies, y.entropies)) <= 1e-14
+
+    def test_seeds_share_components_per_support(self, monkeypatch):
+        # Both directions of every seed meet the same supports, so each
+        # support's components are found once for all of them.
+        supports = []
+
+        def counting(states, k_min):
+            supports.append(frozenset(states))
+            return _components(states, k_min)
+
+        monkeypatch.setattr(branching, "_components", counting)
+        for seed in range(3):
+            asymmetry_experiment(self._rules(), vertex_count_partition(1), epochs=4, seed=seed, max_dim=48)
+        assert len(supports) == len(set(supports)) == 2
+
     def test_child_keys_within_parent_support_reachability(self):
         # Every child node's keys lie in the coupling-graph closure of its
         # parent's keys, and node weights match a direct recomputation.

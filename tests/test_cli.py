@@ -293,14 +293,17 @@ class TestRun:
 
     def test_overflowing_reference_couplings_exit_4(self, tmp_path, capsys):
         # Summed couplings of 1e308 overflow generator entries to inf, so the
-        # generator's 1-norm is infinite; generator assembly warns of it.
+        # generator's 1-norm is infinite; generator assembly warns of it. At
+        # max_dim 300, past the action's crossover, the infinite norm has no
+        # Taylor plan and falls back to the propagator too.
         rules = (CONFIG_DIR / "reference_branching.rul").read_text()
         huge_rules = tmp_path / "huge.rul"
         huge_rules.write_text(rules.replace("rule 0 0.9", "rule 0 1e308").replace("rule 1 0.7", "rule 1 1e308"))
-        path = reference_config(tmp_path, rules_file=str(huge_rules))
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert invoke("run", str(path)) == 4
-        assert "not finite (dt 0.2, largest |H| entry inf)" in capsys.readouterr().err
+        for max_dim in (96, 300):
+            path = reference_config(tmp_path, rules_file=str(huge_rules), max_dim=max_dim)
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                assert invoke("run", str(path)) == 4
+            assert "not finite (dt 0.2, largest |H| entry inf)" in capsys.readouterr().err
 
     def test_norm_drift_exits_4_and_writes_nothing(self, tmp_path, capsys):
         path = write_config(tmp_path, dt=1e12)
@@ -367,6 +370,7 @@ class TestVerify:
         assert "PASS gauge-roundtrip" in out
         assert "PASS refinement-weights" in out
         assert "PASS oracle-equivalence: 30/30 kinds agree" in out
+        assert f"PASS taylor-action: {dynamics.ACTION_MIN_DIM}-state real generator" in out
         overlaps = re.search(r"kinds agree, (\d+)/(\d+) overlaps agree", out)
         assert overlaps and overlaps[1] == overlaps[2] != "0"
         assert "FAIL" not in out
@@ -386,6 +390,21 @@ class TestVerify:
         assert invoke("verify", str(path)) == 5
         out = capsys.readouterr().out
         assert re.search(r"FAIL unitarity: norm drift \S+e-1[5-9], propagator deviation from eigh", out)
+
+    def test_action_off_eigh_fails_taylor_action(self, tmp_path, capsys, monkeypatch):
+        # The check evolves past the crossover, where a run applies the
+        # Taylor action rather than the propagator.
+        action = dynamics.Generator.exp_action
+
+        def off(gen, v, dt, plan):
+            return action(gen, v, dt * (1 + 1e-10), plan)
+
+        monkeypatch.setattr(dynamics.Generator, "exp_action", off)
+        path = write_config(tmp_path, verify_corpus=0)
+        assert invoke("verify", str(path)) == 5
+        out = capsys.readouterr().out
+        assert "PASS unitarity" in out
+        assert re.search(r"FAIL taylor-action: \d+-state real generator, deviation from eigh \S+e-1[01]", out)
 
     def test_empty_corpus_reports_skip_not_pass(self, tmp_path, capsys):
         path = write_config(tmp_path, verify_corpus=0)

@@ -677,6 +677,82 @@ class TestPropagator:
         assert np.isnan(dynamics._exp_hermitian(h, 0.3)).all()
 
 
+class TestTaylorAction:
+    """The truncated-Taylor action that `evolve` applies from
+    `ACTION_MIN_DIM` on, against the eigh oracle and the Padé path."""
+
+    @pytest.mark.parametrize("max_dim", [300, 1000])
+    def test_reference_generator_matches_eigh(self, max_dim):
+        gen = expand_reachable(reference_seed(), reference_rules(), max_dim=max_dim, accept_truncation=True)
+        assert gen.dim == max_dim >= dynamics.ACTION_MIN_DIM
+        nrng = np.random.Generator(np.random.Philox(max_dim))
+        v = nrng.normal(size=gen.dim) + 1j * nrng.normal(size=gen.dim)
+        v /= np.linalg.norm(v)
+        for dt in (0.2, -0.2):
+            plan = dynamics._taylor_plan(abs(dt) * gen.norm1(), gen.dim)
+            assert plan is not None
+            assert np.abs(gen.exp_action(v, dt, plan) - expm_eigh(gen.matrix, dt) @ v).max() <= 1e-13
+
+    def test_nonzeros_and_norm_read_off_the_matrix(self):
+        gen = expand_reachable(reference_seed(), reference_rules(), max_dim=300, accept_truncation=True)
+        rows, cols, vals = gen.nonzeros()
+        dense = np.zeros_like(gen.matrix)
+        dense[rows, cols] = vals
+        assert np.array_equal(dense, gen.matrix)
+        assert gen.norm1() == np.abs(gen.matrix).sum(axis=0).max()
+
+    def test_zero_generator_returns_its_input_exactly(self, monkeypatch):
+        basis = expand_reachable(reference_seed(), reference_rules(), max_dim=300, accept_truncation=True).basis
+        gen = Generator(basis, np.zeros((len(basis), len(basis))), frozenset())
+        monkeypatch.setattr(Generator, "propagator", None)  # the action path never calls it
+        psi = Wavefunctional.from_states([(basis[0], 0.6), (basis[7], 0.8j), (basis[299], 1e-3)])
+        out = evolve(psi, gen, 0.3, 5)
+        assert [amp for _state, amp in out.entries.values()] == [amp for _state, amp in psi.entries.values()]
+
+    def test_cost_past_the_dimension_selects_the_propagator(self, monkeypatch):
+        gen = expand_reachable(reference_seed(), reference_rules(), max_dim=300, accept_truncation=True)
+        steps = []
+        propagator = Generator.propagator
+        monkeypatch.setattr(Generator, "propagator", lambda g, dt: steps.append(dt) or propagator(g, dt))
+        psi = Wavefunctional.from_states([(gen.basis[0], 1.0)])
+        evolve(psi, gen, 0.2, 3)
+        assert steps == []
+        # m * s grows linearly in the norm of dt * H; at dt 50 the cheapest
+        # plan needs more products than the basis has states.
+        assert dynamics._taylor_plan(50 * gen.norm1(), gen.dim) is None
+        out = evolve(psi, gen, 50.0, 1)
+        assert steps == [50.0]
+        assert abs(norm(out) - 1.0) <= 1e-10
+
+    def test_complex_generator_takes_the_propagator(self, monkeypatch):
+        # The action's real operator needs real couplings; a complex
+        # Hermitian generator (only ever built by hand) keeps the Padé.
+        basis = expand_reachable(reference_seed(), reference_rules(), max_dim=300, accept_truncation=True).basis
+        nrng = np.random.Generator(np.random.Philox(7))
+        a = nrng.normal(size=(300, 300)) + 1j * nrng.normal(size=(300, 300))
+        h = (a + a.conj().T) / 300
+        gen = Generator(basis, h, frozenset())
+        monkeypatch.setattr(Generator, "exp_action", None)  # never reached
+        psi = Wavefunctional.from_states([(basis[0], 1.0)])
+        out = evolve(psi, gen, 0.2, 1)
+        expected = expm_eigh(h, 0.2)[:, 0]
+        index = gen.index()
+        assert max(abs(amp - expected[index[key]]) for key, (_state, amp) in out.entries.items()) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "norm_, plan",
+        [(0.0, (0, 1)), (1e-300, (1, 1)), (2.64, (26, 1)), (3.46, (30, 1)), (9.9, (55, 1)), (19.0, (55, 2))],
+    )
+    def test_plan_is_the_least_cost_in_the_theta_table(self, norm_, plan):
+        m, s = dynamics._taylor_plan(norm_, 2048)
+        assert (m, s) == plan
+        assert m == 0 or norm_ <= s * dynamics._THETA_TAYLOR[m]
+
+    @pytest.mark.parametrize("norm_", [math.inf, math.nan, 1e300])
+    def test_norm_out_of_reach_has_no_plan(self, norm_):
+        assert dynamics._taylor_plan(norm_, 2048) is None
+
+
 class TestInterference:
     def _observable(self, states, offdiag):
         n = len(states)
