@@ -34,9 +34,13 @@ from .wavefunctional import DensitizedView, EntryKey
 
 MAX_DEPTH = 24
 
-# Sampler guide-table buckets and draws per chunk; both powers of two.
-GUIDE_BUCKETS = 1 << 16
-DRAW_CHUNK = 1 << 16
+# Sampler guide-table buckets per state, as a power of two (B is the least
+# power of two of at least 16 K for K states), and raw Philox words per
+# chunk. A chunk's words take 64 KiB, as do its bucket counts up to 512
+# states: under glibc's default 128 KiB mmap threshold, so a chunk maps no
+# fresh pages.
+BUCKET_SHIFT = 4
+DRAW_CHUNK = 1 << 13
 
 
 class DepthExceeded(Exception):
@@ -161,36 +165,35 @@ def _draw_counts(probs: np.ndarray, samples: int, seed: int) -> np.ndarray:
     """Per-index counts of `samples` inverse-CDF draws from `probs`.
 
     Each Philox draw d in [0, 1) picks index min(#{cum_j < d}, K-1), as one
-    `searchsorted` over all draws would (`reference.oneshot_draw_counts`),
-    but through a guide table over B = GUIDE_BUCKETS dyadic buckets (Chen &
-    Asau 1974). B is a power of two, so floor(d*B) is d's exact bucket b,
-    and when no cum_j lies in [b/B, (b+1)/B) every draw in b gets the index
-    #{cum_j < b/B}. Only draws in the at most K buckets that hold a cum_j
-    are searched. Draws come in chunks of C = DRAW_CHUNK, which Philox
-    yields bit for bit as one array would, so memory is O(B + C) for any
-    `samples`. Each chunk reuses the same buffers: C-element arrays are
-    large enough that the allocator may map fresh pages for each new one,
-    which would fault them in again for every chunk.
+    `searchsorted` over all draws would (`reference.oneshot_draw_counts`);
+    that is #{c_j < d} over the K-1 cuts c = cum[:-1], with no clamp. Draws
+    are located through a guide table of B = 2^b dyadic buckets (Chen &
+    Asau 1974), B the least power of two of at least 2^BUCKET_SHIFT * K.
+    `Generator.random` makes d from a raw 64-bit word w as (w >> 11) * 2^-53,
+    so d's exact bucket floor(d * B) is w >> (64 - b) and is counted with
+    no double made. Every draw in a bucket [i/B, (i+1)/B) holding no cut
+    gets the index #{c_j < i/B}, in one scatter at the end; only the draws
+    in the at most K-1 buckets holding a cut are made doubles and searched.
+    Words come in chunks of DRAW_CHUNK, which Philox yields bit for bit as
+    one array would, so memory is O(K + DRAW_CHUNK) for any `samples`.
     """
-    cum = np.cumsum(probs)
-    last = len(cum) - 1
-    below = np.searchsorted(cum, np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS, side="left")
-    start = np.minimum(below[:-1], last)
+    cuts = np.cumsum(probs)[:-1]
+    bits = (len(probs) - 1).bit_length() + BUCKET_SHIFT
+    buckets = 1 << bits
+    below = np.searchsorted(cuts, np.arange(buckets + 1) / buckets, side="left")
     mixed = below[1:] > below[:-1]
-    rng = np.random.Generator(np.random.Philox(seed))
-    counts = np.zeros(len(cum), dtype=np.intp)
-    draws_buf = np.empty(DRAW_CHUNK)
-    bucket_buf = np.empty(DRAW_CHUNK, dtype=np.intp)
-    idx_buf = np.empty(DRAW_CHUNK, dtype=np.intp)
+    bitgen = np.random.Philox(seed)
+    per_bucket = np.zeros(buckets, dtype=np.intp)
+    counts = np.zeros(len(probs), dtype=np.intp)
     for done in range(0, samples, DRAW_CHUNK):
-        n = min(DRAW_CHUNK, samples - done)
-        draws = rng.random(out=draws_buf[:n])
-        # floor(d * B): the product is exact and truncation floors it.
-        bucket = np.multiply(draws, GUIDE_BUCKETS, out=bucket_buf[:n], casting="unsafe")
-        idx = np.take(start, bucket, out=idx_buf[:n])
-        hit = np.flatnonzero(mixed[bucket])
-        idx[hit] = np.minimum(np.searchsorted(cum, draws[hit], side="left"), last)
-        counts += np.bincount(idx, minlength=len(cum))
+        words = bitgen.random_raw(min(DRAW_CHUNK, samples - done))
+        # Each bucket is below 2^b <= 2^53, so viewing it as signed is exact.
+        bucket = (words >> (64 - bits)).view(np.int64)
+        per_bucket += np.bincount(bucket, minlength=buckets)
+        draws = (words[mixed[bucket]] >> 11) * 2.0**-53
+        counts += np.bincount(np.searchsorted(cuts, draws, side="left"), minlength=len(probs))
+    # Integer adds, so exact for any total below 2^63.
+    np.add.at(counts, below[:-1][~mixed], per_bucket[~mixed])
     return counts
 
 
@@ -201,9 +204,10 @@ def sample_selflocation(
     squared density and report empirical macro-label frequencies.
 
     Uses a counter-based generator, so results are reproducible for a
-    fixed seed. Draws are counted in fixed chunks through an exact guide
-    table (`_draw_counts`), so memory does not grow with `samples` and the
-    counts equal those of one inverse-CDF search over all draws.
+    fixed seed. Draws are counted in fixed chunks of raw words through an
+    exact guide table sized from the support (`_draw_counts`), so memory is
+    O(support) for any `samples` and the counts equal those of one
+    inverse-CDF search over all draws.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

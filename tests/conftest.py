@@ -49,14 +49,15 @@ def nine_vertex_pair():
     return a, b
 
 
-def count_rule_applications(monkeypatch):
-    """Count calls of dynamics.rule_applications; returns a one-item list."""
+def count_matchings(monkeypatch):
+    """Count calls of dynamics._matches, made once per basis state and rule
+    by an expansion; returns a one-item list."""
     calls = [0]
-    original = dynamics.rule_applications
+    original = dynamics._matches
 
-    def counting(rule, state):
+    def counting(pattern, state):
         calls[0] += 1
-        return original(rule, state)
+        return original(pattern, state)
 
-    monkeypatch.setattr(dynamics, "rule_applications", counting)
+    monkeypatch.setattr(dynamics, "_matches", counting)
     return calls

@@ -248,13 +248,15 @@ class TestDrawCountsAgainstOneShot:
     def test_equal_weights_put_cum_on_bucket_edges(self):
         assert_counts_match_oneshot(np.full(16, 1 / 16), 3 * DRAW_CHUNK + 7, seed=16)
 
-    @pytest.mark.parametrize("gap", [2.0**-8, 2.0**-17])
+    @pytest.mark.parametrize("gap", [2.0**-4, 2.0**-8, 2.0**-17])
     def test_total_below_one_clamps_to_last_index(self, gap):
         # cum = (1/2, 1 - 2 gap, 1 - gap). Draws above cum[-1] search past
-        # the end and are clamped: from unmixed buckets (2^-8), or inside
-        # the last bucket, which holds both cum[1] and cum[-1] (2^-17).
+        # its end and are clamped to the last index. Of the 64 buckets, they
+        # fall in ones holding no cut (2^-4), or in the last one, which holds
+        # the cut 1 - 2 gap and is searched (2^-8, 2^-17). The sample count
+        # is fixed so that some draw lands above cum[-1] at every gap.
         probs = np.array([0.5, 0.5 - 2 * gap, gap])
-        samples, seed = 3 * DRAW_CHUNK + 7, 4
+        samples, seed = 196_615, 4
         draws = np.random.Generator(np.random.Philox(seed)).random(samples)
         assert np.count_nonzero(draws >= np.cumsum(probs)[-1]) > 0
         assert_counts_match_oneshot(probs, samples, seed)
@@ -263,11 +265,17 @@ class TestDrawCountsAgainstOneShot:
         assert_counts_match_oneshot(np.array([1.0]), 3 * DRAW_CHUNK + 7, seed=1)
 
     @pytest.mark.parametrize(
-        "samples", [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 3 * DRAW_CHUNK + 7]
+        "samples",
+        [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 3 * DRAW_CHUNK + 7, 65_535, 65_536, 65_537, 196_615],
     )
     def test_sample_counts_around_the_chunk_size(self, samples):
         amps = np.random.default_rng(96).random(96)
         assert_counts_match_oneshot(amps**2 / (amps**2).sum(), samples, seed=samples)
+
+    @pytest.mark.parametrize("states", [1, 2, 7, 96, 300, 2048])
+    def test_state_counts_from_one_to_the_validator_limit(self, states):
+        amps = np.random.default_rng(states).random(states)
+        assert_counts_match_oneshot(amps**2 / (amps**2).sum(), 3 * DRAW_CHUNK + 7, seed=states)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -295,6 +303,5 @@ def test_sampler_memory_does_not_grow_with_samples():
         finally:
             tracemalloc.stop()
 
-    small, large = traced_peak(200_000), traced_peak(2_000_000)
-    assert large < 8 * 2**20
-    assert abs(large - small) < 2**20
+    assert traced_peak(200_000) < 2**19
+    assert traced_peak(2_000_000) < 2**19

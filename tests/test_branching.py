@@ -33,7 +33,7 @@ from spacestates.reference import (
     per_epoch_track,
 )
 
-from conftest import count_rule_applications, path_state, uniform_path
+from conftest import count_matchings, path_state, uniform_path
 
 
 def species_pair(s1, s2, matter=1):
@@ -261,7 +261,7 @@ class TestAsymmetryExperiment:
     def test_seeds_share_one_expansion(self, monkeypatch):
         # Seeds only jitter the couplings, so the basis is expanded once and
         # re-weighted for every later seed.
-        calls = count_rule_applications(monkeypatch)
+        calls = count_matchings(monkeypatch)
         for seed in range(3):
             asymmetry_experiment(self._rules(), vertex_count_partition(1), epochs=1, seed=seed, max_dim=48)
         assert calls[0] == 48 * 2

@@ -1,4 +1,3 @@
-import cmath
 import hashlib
 import itertools
 import math
@@ -36,7 +35,7 @@ from spacestates.corpus import random_space_state
 from spacestates.reference import expm_eigh
 from spacestates.wavefunctional import PRUNE_TOLERANCE, entry_key
 
-from conftest import count_rule_applications, nine_vertex_pair, path_state, uniform_path
+from conftest import count_matchings, nine_vertex_pair, path_state, uniform_path
 
 
 def rabi_pair():
@@ -316,6 +315,24 @@ class TestExpandReachable:
             digest.update(ssg1_dumps(state).encode())
         assert digest.hexdigest() == "69ada130f12548e7d182c1b2b0998fc5f5a3707b520c193d4325879f9501f20b"
 
+    def test_full_basis_rewrites_no_result_settled_by_size(self, monkeypatch):
+        # Every reference rule adds a vertex and an edge and deletes none, so
+        # each result of the level expanded after the basis fills has counts
+        # that no basis state has. Whether the rule matches at all makes its
+        # source a boundary state, and none of those 2,160 results is
+        # rewritten: only the 948 of the earlier levels are.
+        calls = [0]
+        original = dynamics._rewrite
+
+        def counting(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(dynamics, "_rewrite", counting)
+        gen = expand_reachable(reference_seed(), reference_rules(), max_dim=300, accept_truncation=True)
+        assert calls[0] == 948
+        assert gen.dim == 300 and gen.boundary
+
     def test_cold_expansion_builds_only_admitted_states(self, monkeypatch):
         # Results are keyed on their small-int forms, so a graph is built
         # only for each state the basis admits past the seed.
@@ -395,7 +412,7 @@ class TestExpandReachable:
         # on the same rule shapes with other couplings expands nothing: it
         # re-weights the memoized applications, bit for bit as a cold build.
         seed, rules = three_rule_system()
-        calls = count_rule_applications(monkeypatch)
+        calls = count_matchings(monkeypatch)
         psi = Wavefunctional.from_states([(seed, 1.0)])
         gen = expand_reachable(psi, rules, max_dim=max_dim, accept_truncation=True)
         assert calls[0] == gen.dim * len(rules)
@@ -449,7 +466,7 @@ class TestStructureMemo:
         twin = relabeled(seed, {0: 3, 1: 0, 2: 2, 3: 1})
         assert twin == seed and ssg1_dumps(twin) != ssg1_dumps(seed)
         expand_reachable(Wavefunctional.from_states([(seed, 1.0)]), rules, max_dim=64)
-        calls = count_rule_applications(monkeypatch)
+        calls = count_matchings(monkeypatch)
         psi = Wavefunctional.from_states([(twin, 1.0)])
         gen = expand_reachable(psi, rules, max_dim=64)
         assert calls[0] == gen.dim * len(rules)
@@ -470,7 +487,7 @@ class TestStructureMemo:
         assert permuted.with_coupling(swap.coupling) == swap
         psi = Wavefunctional.from_states([(seed, 1.0)])
         original = expand_reachable(psi, rules, max_dim=64)
-        calls = count_rule_applications(monkeypatch)
+        calls = count_matchings(monkeypatch)
         changed = [rules[0], permuted, rules[2]]
         gen = expand_reachable(psi, changed, max_dim=64)
         assert calls[0] == gen.dim * len(rules)
@@ -481,7 +498,7 @@ class TestStructureMemo:
         seed, rules = three_rule_system()
         psi = Wavefunctional.from_states([(seed, 1.0)])
         expand_reachable(psi, rules, max_dim=64, accept_truncation=True)
-        calls = count_rule_applications(monkeypatch)
+        calls = count_matchings(monkeypatch)
         gen = expand_reachable(psi, rules, max_dim=5, accept_truncation=True)
         assert gen.dim == 5 and calls[0] == 5 * len(rules)
         assert_same_as_uncached(gen, psi, rules, max_dim=5, accept_truncation=True)
@@ -498,7 +515,7 @@ class TestStructureMemo:
         seed, rules = three_rule_system()
         psi = Wavefunctional.from_states([(seed, 1.0)])
         expand_reachable(psi, rules, max_dim=9, accept_truncation=True)
-        calls = count_rule_applications(monkeypatch)
+        calls = count_matchings(monkeypatch)
         gen = expand_reachable(psi, rules, max_dim=9)
         assert calls[0] == 9 * len(rules)
         assert_same_as_uncached(gen, psi, rules, max_dim=9)
@@ -545,11 +562,13 @@ class TestApplyRule:
 
 class TestEvolve:
     def test_zero_generator_leaves_state_unchanged(self):
-        psi = Wavefunctional.from_states([(uniform_path(2), 0.6), (uniform_path(3), 0.8)])
+        # Below the action's crossover, so each step applies the propagator,
+        # which is the identity exactly.
+        psi = Wavefunctional.from_states([(uniform_path(2), 0.6), (uniform_path(3), 0.8j)])
         gen = expand_reachable(psi, [], max_dim=4)
         out = evolve(psi, gen, dt=0.7, steps=5)
-        for key in psi.entries:
-            assert cmath.isclose(out.entries[key][1], psi.entries[key][1], abs_tol=1e-12)
+        assert [amp for _state, amp in out.entries.values()] == [amp for _state, amp in psi.entries.values()]
+        assert np.array_equal(gen.propagator(0.7), np.eye(2))
 
     def test_two_level_quarter_period(self):
         a, b = rabi_pair()
@@ -614,13 +633,14 @@ class TestEvolve:
 
     def test_prune_drops_amplitude_at_tolerance_and_keeps_one_above(self):
         # Built directly: from_states would already drop the entry at the
-        # tolerance. With no step the amplitudes are read back unchanged.
+        # tolerance. A step of the zero generator leaves every amplitude
+        # exactly as it was.
         states = (uniform_path(2), uniform_path(3), uniform_path(4))
         gen = Generator(states, np.zeros((3, 3)), frozenset())
         above = math.nextafter(PRUNE_TOLERANCE, 1.0)
         amps = (0.6 + 0.8j, complex(PRUNE_TOLERANCE), 1j * above)
         psi = Wavefunctional({entry_key(s): (s, a) for s, a in zip(states, amps)})
-        out = evolve(psi, gen, 0.3, 0)
+        out = evolve(psi, gen, 0.3, 1)
         assert list(out.entries) == [entry_key(states[0]), entry_key(states[2])]
         assert [amp for _state, amp in out.entries.values()] == [amps[0], amps[2]]
 
