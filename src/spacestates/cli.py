@@ -78,8 +78,9 @@ MAX_DIM_LIMIT = 2048
 EPOCHS_LIMIT = 1000
 STEPS_LIMIT = 1000
 # Drawing takes about 11 ns a sample (16 ns over 2048 states; 20M samples,
-# one core, Python 3.11, numpy 2.4), and the verify corpus about 200 us a
-# state, so each limit allows roughly 20 s of work.
+# one core, Python 3.11, numpy 2.4), so SAMPLES_LIMIT allows about 11-16 s
+# of drawing. The verify corpus takes about 200 us a state, so its limit
+# allows about 20 s.
 SAMPLES_LIMIT = 10**9
 VERIFY_CORPUS_LIMIT = 100_000
 

@@ -333,6 +333,23 @@ class TestExpandReachable:
         assert calls[0] == 948
         assert gen.dim == 300 and gen.boundary
 
+    def test_full_basis_settles_deleting_rule_by_dangling(self):
+        # Deleting the (2, 1, 0) end of an edge gives results with counts no
+        # seed has, from the edge and from the 4-path alike. On the path
+        # every match would dangle, so only the edge leaks out of the basis.
+        rule = RewriteRule(
+            0,
+            SpaceState.build({0: (1, 1, 0), 1: (2, 1, 0)}, [(0, 1, 1)]),
+            SpaceState.build({0: (1, 1, 0)}),
+            1.0,
+        )
+        edge = path_state([(1, 1, 0), (2, 1, 0)])
+        long = path_state([(1, 1, 0), (2, 1, 0), (3, 1, 0), (4, 1, 0)])
+        psi = Wavefunctional.from_states([(long, 0.6), (edge, 0.8)])
+        gen = expand_reachable(psi, [rule], max_dim=2, accept_truncation=True)
+        assert list(gen.boundary) == [gen.basis.index(edge)]
+        assert not gen.matrix.any()
+
     def test_cold_expansion_builds_only_admitted_states(self, monkeypatch):
         # Results are keyed on their small-int forms, so a graph is built
         # only for each state the basis admits past the seed.
