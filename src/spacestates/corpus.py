@@ -45,6 +45,18 @@ def random_space_state(
     return SpaceState.build(fields, edges)
 
 
+def distinct_states(rng: random.Random, count: int) -> list[SpaceState]:
+    """`count` random connected 4-7-vertex states, no two isomorphic."""
+    states = []
+    seen = set()
+    while len(states) < count:
+        state = random_space_state(rng, n_min=4, n_max=7)
+        if state.canonical_key not in seen:
+            seen.add(state.canonical_key)
+            states.append(state)
+    return states
+
+
 def random_relabeling(rng: random.Random, state: SpaceState) -> SpaceState:
     """The same labeled graph under a random vertex permutation."""
     verts = list(state.geometry.vertices)

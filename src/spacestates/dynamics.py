@@ -25,28 +25,30 @@ all settles the boundary. At `max_dim` 300 this leaves 948 of 3,108
 applications to rewrite, and the cold expansion falls from 60 to 54 ms
 (267 to 242 ms at 1000; medians of 15 fresh processes, same host).
 Evolution applies the matrix exponential on that truncated basis in numpy
-alone, by one of two paths chosen by the basis size. Below `ACTION_MIN_DIM` (128 states, the measured crossover) it forms
-the dense propagator by degree-13 Padé approximation with scaling and
-squaring (Higham 2005, the method behind `scipy.linalg.expm`), memoized per
-time step and reused for every step. The couplings are real, so the
-generator is float64 and every matrix power is a real product; only the
-final solve and the squarings are complex. From `ACTION_MIN_DIM` on it
-applies exp(-i dt H) to the state vector by the truncated Taylor series of
-Al-Mohy & Higham (2011) over the generator's nonzeros (under 6 per row on
-the reference config), with no n x n temporary: at `max_dim` 2048 a run
-takes 1.3 s and 83 MB against 4.8 s and 628 MB with the propagator (2
-cores, 1 BLAS thread). A step whose Taylor plan needs more products than
-the basis has states (a large norm of dt H) takes the propagator there
-too. The generator's index iterates in entry-key order, so `evolve` reads
-its sorted result straight off it, with one pruning mask over the evolved
-vector.
+alone, by one of two paths, and `Generator.step` is the one place that
+chooses between them. Below `ACTION_MIN_DIM` (128 states, the measured
+crossover) it forms the dense propagator by degree-13 Padé approximation
+with scaling and squaring (Higham 2005, the method behind
+`scipy.linalg.expm`), memoized per time step and reused for every step.
+The couplings are real, so the generator is float64 and every matrix power
+is a real product; only the final solve and the squarings are complex.
+From `ACTION_MIN_DIM` on it applies exp(-i dt H) to the state vector by the
+truncated Taylor series of Al-Mohy & Higham (2011) over the generator's
+nonzeros (under 6 per row on the reference config), with no n x n
+temporary: at `max_dim` 2048 a run takes 1.3 s and 83 MB against 4.8 s and
+628 MB with the propagator (2 cores, 1 BLAS thread). A complex generator,
+or a step whose Taylor plan needs more products than the basis has states
+(a large norm of dt H), takes the propagator there too. The generator's
+index iterates in entry-key order, so `evolve` reads its sorted result
+straight off it, with one pruning mask over the evolved vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -256,9 +258,9 @@ _THETA_TAYLOR = {
     26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
-# Basis size from which `evolve` applies the Taylor action rather than a
-# dense propagator. On the reference generator, 6 steps of dt 0.2 and 6 of
-# -0.2 took (one propagator and 12 products against 12 actions; 1 BLAS
+# Basis size from which `Generator.step` applies the Taylor action rather
+# than a dense propagator. On the reference generator, 6 steps of dt 0.2 and
+# 6 of -0.2 took (one propagator and 12 products against 12 actions; 1 BLAS
 # thread, best of 15) 1.05 against 2.15 ms at 96, 2.4 against 2.5 ms at
 # 128, 4.1 against 2.6 ms at 160, 18 against 4.4 ms at 300, 0.44 s against
 # 18 ms at 1000 and 3.2 s against 42 ms at 2048.
@@ -280,6 +282,33 @@ def _taylor_plan(norm: float, dim: int) -> tuple[int, int] | None:
     return (m, s) if m * s <= dim else None
 
 
+def _taylor_action(operator: tuple, v: np.ndarray, dt: float, plan: tuple[int, int]) -> np.ndarray:
+    """exp(-i dt H) v for a real generator H given by its `_real_operator`,
+    by the truncated Taylor series of Al-Mohy & Higham (2011): s times, up
+    to m terms of exp(-i dt H / s), stopping once two successive terms are
+    below 2^-53 of the sum (each measured by its largest real or imaginary
+    part). The vector is carried as its real parts followed by its
+    imaginary parts, w = (x, y), on which -i H acts as the real operator
+    (x, y) -> (H y, -H x); each product is then one gather and one
+    `bincount` over twice the nonzeros, and the dense matrix is never
+    touched."""
+    m, s = plan
+    n = len(v)
+    rows, cols, vals, _norm = operator
+    f = np.concatenate((v.real, v.imag))
+    for _ in range(s):
+        b = f
+        c1 = float(np.abs(b).max())
+        for j in range(1, m + 1):
+            b = np.bincount(rows, vals * b[cols], minlength=2 * n) * (dt / (s * j))
+            f = f + b
+            c2 = float(np.abs(b).max())
+            if c1 + c2 <= 2.0**-53 * float(np.abs(f).max()):
+                break
+            c1 = c2
+    return f[:n] + 1j * f[n:]
+
+
 @dataclass(frozen=True)
 class Generator:
     """Hermitian coupling matrix on a truncated space-state basis; float64
@@ -289,13 +318,24 @@ class Generator:
     matrix: np.ndarray
     boundary: frozenset[int]
 
+    @cached_property
     def index(self) -> Mapping[EntryKey, int]:
-        """Basis position of each entry key, iterating in key order; memoized."""
-        cached = self.__dict__.get("_index")
-        if cached is None:
-            cached = dict(sorted((entry_key(s), i) for i, s in enumerate(self.basis)))
-            object.__setattr__(self, "_index", cached)
-        return cached
+        """Basis position of each entry key, iterating in key order."""
+        return dict(sorted((entry_key(s), i) for i, s in enumerate(self.basis)))
+
+    @cached_property
+    def _real_operator(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """(rows, cols, vals, norm): -i matrix as the real operator
+        (x, y) -> (matrix y, -matrix x) on a vector carried as its real parts
+        x and imaginary parts y, in coordinates over twice the matrix's
+        nonzeros (read off it in row-major order), and the matrix's 1-norm
+        (largest column sum of magnitudes)."""
+        n = self.dim
+        rows, cols = np.nonzero(self.matrix)
+        vals = self.matrix[rows, cols]
+        with np.errstate(over="ignore"):  # an overflowing sum is an infinite norm
+            norm = float(np.bincount(cols, np.abs(vals), minlength=1).max())
+        return np.concatenate((rows, rows + n)), np.concatenate((cols + n, cols)), np.concatenate((vals, -vals)), norm
 
     def propagator(self, dt: float) -> np.ndarray:
         """exp(-i * matrix * dt), memoized per time step. The matrix is
@@ -309,58 +349,18 @@ class Generator:
             cache[dt] = u
         return u
 
-    def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, vals) of the matrix's nonzero entries in row-major
-        order, with the values read off the matrix; memoized."""
-        cached = self.__dict__.get("_nonzeros")
-        if cached is None:
-            rows, cols = np.nonzero(self.matrix)
-            cached = (rows, cols, self.matrix[rows, cols])
-            object.__setattr__(self, "_nonzeros", cached)
-        return cached
-
-    def norm1(self) -> float:
-        """The matrix's 1-norm (largest column sum of magnitudes), from its
-        nonzeros; memoized."""
-        cached = self.__dict__.get("_norm1")
-        if cached is None:
-            _rows, cols, vals = self.nonzeros()
-            with np.errstate(over="ignore"):  # an overflowing sum is an infinite norm
-                sums = np.bincount(cols, np.abs(vals), minlength=1)
-            cached = float(sums.max())
-            object.__setattr__(self, "_norm1", cached)
-        return cached
-
-    def exp_action(self, v: np.ndarray, dt: float, plan: tuple[int, int]) -> np.ndarray:
-        """exp(-i * matrix * dt) v for a real matrix, by the truncated Taylor
-        series of Al-Mohy & Higham (2011): s times, up to m terms of
-        exp(-i dt matrix / s), stopping once two successive terms are below
-        2^-53 of the sum (each measured by its largest real or imaginary
-        part). The vector is carried as its real parts followed by its
-        imaginary parts, w = (x, y), on which -i matrix acts as the real
-        operator (x, y) -> (matrix y, -matrix x); each product is then one
-        gather and one `bincount` over twice the nonzeros, and the dense
-        matrix is never touched."""
-        m, s = plan
-        n = len(v)
-        cached = self.__dict__.get("_real_operator")
-        if cached is None:
-            rows, cols, vals = self.nonzeros()
-            cached = (np.concatenate((rows, rows + n)), np.concatenate((cols + n, cols)), np.concatenate((vals, -vals)))
-            object.__setattr__(self, "_real_operator", cached)
-        rows, cols, vals = cached
-        f = np.concatenate((v.real, v.imag))
-        for _ in range(s):
-            b = f
-            c1 = float(np.abs(b).max())
-            for j in range(1, m + 1):
-                b = np.bincount(rows, vals * b[cols], minlength=2 * n) * (dt / (s * j))
-                f = f + b
-                c2 = float(np.abs(b).max())
-                if c1 + c2 <= 2.0**-53 * float(np.abs(f).max()):
-                    break
-                c1 = c2
-        return f[:n] + 1j * f[n:]
+    def step(self, dt: float) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> exp(-i * matrix * dt) v: the Taylor action on a real matrix
+        of at least `ACTION_MIN_DIM` states whose plan fits the basis, and
+        the memoized propagator otherwise. This is the one place that
+        chooses between the two paths."""
+        if self.dim >= ACTION_MIN_DIM and self.matrix.dtype.kind == "f":
+            operator = self._real_operator
+            plan = _taylor_plan(abs(dt) * operator[3], self.dim)
+            if plan is not None:
+                return lambda v: _taylor_action(operator, v, dt, plan)
+        u = self.propagator(dt)
+        return lambda v: u @ v
 
     @property
     def dim(self) -> int:
@@ -499,15 +499,14 @@ def expand_reachable(
 
 
 def evolve(psi: Wavefunctional, gen: Generator, dt: float, steps: int) -> Wavefunctional:
-    """Apply exp(-i * gen * dt) `steps` times on the truncated basis: by the
-    Taylor action on a real generator of at least `ACTION_MIN_DIM` states
-    whose plan fits the basis, and by the memoized propagator otherwise.
+    """Apply exp(-i * gen * dt) `steps` times on the truncated basis, by the
+    path that `gen.step(dt)` chooses.
 
     A basis has a boundary only when `expand_reachable` accepted truncation,
     so amplitude that reaches the boundary states is evolved, not refused."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    index = gen.index()
+    index = gen.index
     v = np.zeros(gen.dim, dtype=complex)
     for key, (_state, amp) in psi.entries.items():
         i = index.get(key)
@@ -515,16 +514,9 @@ def evolve(psi: Wavefunctional, gen: Generator, dt: float, steps: int) -> Wavefu
             raise ValueError("wavefunctional support escapes the generator basis")
         v[i] = amp
     if steps > 0 and gen.dim > 0:
-        plan = None
-        if gen.dim >= ACTION_MIN_DIM and gen.matrix.dtype.kind == "f":
-            plan = _taylor_plan(abs(dt) * gen.norm1(), gen.dim)
-        if plan is None:
-            u = gen.propagator(dt)
-            for _ in range(steps):
-                v = u @ v
-        else:
-            for _ in range(steps):
-                v = gen.exp_action(v, dt, plan)
+        step = gen.step(dt)
+        for _ in range(steps):
+            v = step(v)
         if not np.isfinite(v).all():
             largest = float(np.abs(gen.matrix).max())
             raise NumericalFailure(

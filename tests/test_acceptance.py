@@ -46,7 +46,7 @@ from spacestates import (
 from spacestates import born
 from spacestates.branching import asymmetry_experiment
 from spacestates.cli import ExperimentConfig, run
-from spacestates.corpus import random_relabeling, random_space_state, random_wavefunctional
+from spacestates.corpus import distinct_states, random_relabeling, random_space_state, random_wavefunctional
 from spacestates.reference import brute_force_assoc_kind, oneshot_draw_counts
 
 from conftest import path_state, uniform_path
@@ -145,13 +145,7 @@ def test_criterion_03_gauge_absorption():
 
 def test_criterion_04_unitarity():
     rng = random.Random(65)
-    states = []
-    seen = set()
-    while len(states) < 64:
-        s = random_space_state(rng, n_min=4, n_max=7)
-        if s.canonical_key not in seen:
-            seen.add(s.canonical_key)
-            states.append(s)
+    states = distinct_states(rng, 64)
     nrng = np.random.Generator(np.random.Philox(64))
     a = nrng.normal(size=(64, 64)) + 1j * nrng.normal(size=(64, 64))
     gen = Generator(tuple(states), a + a.conj().T, frozenset())

@@ -332,7 +332,7 @@ class TestAsymmetryExperiment:
             for j in range(gen.dim):
                 if i != j and gen.matrix[i, j] != 0:
                     adjacency[i].add(j)
-        index = gen.index()
+        index = gen.index
 
         def closure(keys):
             seen = {index[k] for k in keys}

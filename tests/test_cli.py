@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spacestates import Wavefunctional, dynamics, wfn1_loads
+from spacestates import Wavefunctional, cli, dynamics, wfn1_loads
 from spacestates.cli import SAMPLES_LIMIT, VERIFY_CORPUS_LIMIT, ConfigError, ExperimentConfig, _load_inputs, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -375,11 +375,16 @@ class TestVerify:
         assert overlaps and overlaps[1] == overlaps[2] != "0"
         assert "FAIL" not in out
 
-    def test_injected_norm_fault_fails_unitarity(self, tmp_path, capsys):
+    def test_injected_norm_fault_fails_unitarity(self, tmp_path, capsys, monkeypatch):
+        # A norm off by 1e-6 with the propagator still on eigh: the drift
+        # alone must fail the check.
+        norm = cli.norm
+        monkeypatch.setattr(cli, "norm", lambda psi: norm(psi) + 1e-6)
         path = write_config(tmp_path, verify_corpus=20)
-        assert invoke("verify", str(path), "--inject-fault", "unitarity-norm") == 5
+        assert invoke("verify", str(path)) == 5
         out = capsys.readouterr().out
-        assert "FAIL unitarity" in out
+        assert re.search(r"FAIL unitarity: norm drift 1\.000e-06, propagator deviation from eigh \S+e-1[5-9]", out)
+        assert "PASS taylor-action" in out
 
     def test_propagator_off_eigh_fails_unitarity(self, tmp_path, capsys, monkeypatch):
         # A time step off by one part in 1e10 keeps the propagator unitary,
@@ -392,14 +397,14 @@ class TestVerify:
         assert re.search(r"FAIL unitarity: norm drift \S+e-1[5-9], propagator deviation from eigh", out)
 
     def test_action_off_eigh_fails_taylor_action(self, tmp_path, capsys, monkeypatch):
-        # The check evolves past the crossover, where a run applies the
+        # The check steps past the crossover, where a run applies the
         # Taylor action rather than the propagator.
-        action = dynamics.Generator.exp_action
+        action = dynamics._taylor_action
 
-        def off(gen, v, dt, plan):
-            return action(gen, v, dt * (1 + 1e-10), plan)
+        def off(operator, v, dt, plan):
+            return action(operator, v, dt * (1 + 1e-10), plan)
 
-        monkeypatch.setattr(dynamics.Generator, "exp_action", off)
+        monkeypatch.setattr(dynamics, "_taylor_action", off)
         path = write_config(tmp_path, verify_corpus=0)
         assert invoke("verify", str(path)) == 5
         out = capsys.readouterr().out
@@ -481,6 +486,28 @@ PINNED_DIGESTS = {
 def test_shipped_config_artifacts_match_pinned_digests(tmp_path, name):
     assert invoke("run", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path / name)) == 0
     assert hashes(tmp_path / name) == PINNED_DIGESTS[name]
+
+
+# The runs above evolve below `dynamics.ACTION_MIN_DIM`, by the propagator.
+# At max_dim 300 the reference config evolves by the Taylor action; these
+# digests were recorded before evolution's choice of path moved into
+# `Generator.step`.
+ACTION_PATH_DIGESTS = {
+    "branch_summary.csv": "1a60616d0d87cc40805edd2ec65e94562026db1bc7b9398edc1d4f48d06fc75b",
+    "branches.jsonl": "67a61e264ab21e69dbe833257d7e282e0cea55d39f91323c5a22277389d19d5f",
+    "count_report.csv": "5c3aef5485e4bb4f2057524c5db12f0de74edd1f3b81dc64eeef2de4a14531ba",
+    "final_state.wfn": "fe7a447fb5fd63f83b48a6ee9de27a86a93133823efd2ea2943d9fa3ace13d19",
+    "initial_state.wfn": "96b6fedf517c91fe9017228e4e9618456a2c6a1f5bf68f6945de45a48997d539",
+    "manifest.json": "5353554635bcc023dfae432de738aa27bb0a6c43940680a8f08b5b2107cc02ac",
+    "sampler.csv": "e06c5a44deda56fd758ee3869b3429a15589a0c267b6703aef00b3dc8defaea3",
+    "weights.csv": "52e9dace6bb89aea0a47796ee9e16a08d97f7db79f7145c08e8d666b5998e083",
+}
+
+
+def test_reference_config_on_the_action_path_matches_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.setattr(dynamics.Generator, "propagator", None)  # the action path never calls it
+    assert invoke("run", str(reference_config(tmp_path, max_dim=300))) == 0
+    assert hashes(tmp_path / "out") == ACTION_PATH_DIGESTS
 
 
 # Fuzzing the rule file: every mutant of the shipped reference RUL1 text

@@ -31,7 +31,7 @@ from spacestates import (
     ssg1_loads,
 )
 from spacestates import dynamics, spacegraph
-from spacestates.corpus import random_space_state
+from spacestates.corpus import distinct_states
 from spacestates.reference import expm_eigh
 from spacestates.wavefunctional import PRUNE_TOLERANCE, entry_key
 
@@ -598,13 +598,7 @@ class TestEvolve:
         assert abs(out.amplitude(b) - (-1j)) <= 1e-10
 
     def test_norm_drift_under_thousand_steps(self, rng):
-        states = []
-        seen = set()
-        while len(states) < 64:
-            s = random_space_state(rng, n_min=4, n_max=7)
-            if s.canonical_key not in seen:
-                seen.add(s.canonical_key)
-                states.append(s)
+        states = distinct_states(rng, 64)
         nrng = np.random.Generator(np.random.Philox(5))
         a = nrng.normal(size=(64, 64)) + 1j * nrng.normal(size=(64, 64))
         gen = Generator(tuple(states), a + a.conj().T, frozenset())
@@ -667,7 +661,7 @@ class TestEvolve:
         a = nrng.normal(size=(4, 4))
         gen = Generator(states, a + a.T, frozenset())
         keys = [entry_key(s) for s in states]
-        index = gen.index()
+        index = gen.index
         assert list(index) == sorted(keys) != keys
         assert all(keys[i] == key for key, i in index.items())
         out = evolve(Wavefunctional.from_states([(states[0], 1.0)]), gen, 0.2, 3)
@@ -715,28 +709,30 @@ class TestPropagator:
 
 
 class TestTaylorAction:
-    """The truncated-Taylor action that `evolve` applies from
+    """The truncated-Taylor action that `Generator.step` takes from
     `ACTION_MIN_DIM` on, against the eigh oracle and the Padé path."""
 
     @pytest.mark.parametrize("max_dim", [300, 1000])
-    def test_reference_generator_matches_eigh(self, max_dim):
+    def test_reference_generator_matches_eigh(self, max_dim, monkeypatch):
         gen = expand_reachable(reference_seed(), reference_rules(), max_dim=max_dim, accept_truncation=True)
         assert gen.dim == max_dim >= dynamics.ACTION_MIN_DIM
+        monkeypatch.setattr(Generator, "propagator", None)  # the action path never calls it
         nrng = np.random.Generator(np.random.Philox(max_dim))
         v = nrng.normal(size=gen.dim) + 1j * nrng.normal(size=gen.dim)
         v /= np.linalg.norm(v)
         for dt in (0.2, -0.2):
-            plan = dynamics._taylor_plan(abs(dt) * gen.norm1(), gen.dim)
-            assert plan is not None
-            assert np.abs(gen.exp_action(v, dt, plan) - expm_eigh(gen.matrix, dt) @ v).max() <= 1e-13
+            assert np.abs(gen.step(dt)(v) - expm_eigh(gen.matrix, dt) @ v).max() <= 1e-13
 
     def test_nonzeros_and_norm_read_off_the_matrix(self):
+        # -i H acts on (x, y) as (H y, -H x), the block matrix [[0, H], [-H, 0]].
         gen = expand_reachable(reference_seed(), reference_rules(), max_dim=300, accept_truncation=True)
-        rows, cols, vals = gen.nonzeros()
-        dense = np.zeros_like(gen.matrix)
+        rows, cols, vals, norm1 = gen._real_operator
+        assert len(vals) == 2 * np.count_nonzero(gen.matrix)
+        dense = np.zeros((2 * gen.dim, 2 * gen.dim))
         dense[rows, cols] = vals
-        assert np.array_equal(dense, gen.matrix)
-        assert gen.norm1() == np.abs(gen.matrix).sum(axis=0).max()
+        zero = np.zeros_like(gen.matrix)
+        assert np.array_equal(dense, np.block([[zero, gen.matrix], [-gen.matrix, zero]]))
+        assert norm1 == np.abs(gen.matrix).sum(axis=0).max()
 
     def test_zero_generator_returns_its_input_exactly(self, monkeypatch):
         basis = expand_reachable(reference_seed(), reference_rules(), max_dim=300, accept_truncation=True).basis
@@ -756,7 +752,7 @@ class TestTaylorAction:
         assert steps == []
         # m * s grows linearly in the norm of dt * H; at dt 50 the cheapest
         # plan needs more products than the basis has states.
-        assert dynamics._taylor_plan(50 * gen.norm1(), gen.dim) is None
+        assert dynamics._taylor_plan(50 * gen._real_operator[3], gen.dim) is None
         out = evolve(psi, gen, 50.0, 1)
         assert steps == [50.0]
         assert abs(norm(out) - 1.0) <= 1e-10
@@ -769,11 +765,11 @@ class TestTaylorAction:
         a = nrng.normal(size=(300, 300)) + 1j * nrng.normal(size=(300, 300))
         h = (a + a.conj().T) / 300
         gen = Generator(basis, h, frozenset())
-        monkeypatch.setattr(Generator, "exp_action", None)  # never reached
+        monkeypatch.setattr(dynamics, "_taylor_action", None)  # never reached
         psi = Wavefunctional.from_states([(basis[0], 1.0)])
         out = evolve(psi, gen, 0.2, 1)
         expected = expm_eigh(h, 0.2)[:, 0]
-        index = gen.index()
+        index = gen.index
         assert max(abs(amp - expected[index[key]]) for key, (_state, amp) in out.entries.items()) <= 1e-13
 
     @pytest.mark.parametrize(
@@ -788,6 +784,49 @@ class TestTaylorAction:
     @pytest.mark.parametrize("norm_", [math.inf, math.nan, 1e300])
     def test_norm_out_of_reach_has_no_plan(self, norm_):
         assert dynamics._taylor_plan(norm_, 2048) is None
+
+
+class TestStep:
+    """`Generator.step` is where evolution chooses between the propagator
+    and the Taylor action; each test pins one side of that choice. That a
+    real generator past the crossover never calls the propagator is
+    `TestTaylorAction.test_reference_generator_matches_eigh`."""
+
+    @staticmethod
+    def counted_propagator(monkeypatch):
+        calls = []
+        propagator = Generator.propagator
+        monkeypatch.setattr(Generator, "propagator", lambda g, dt: calls.append(dt) or propagator(g, dt))
+        return calls
+
+    @staticmethod
+    def unit_vector(dim):
+        nrng = np.random.Generator(np.random.Philox(dim))
+        v = nrng.normal(size=dim) + 1j * nrng.normal(size=dim)
+        return v / np.linalg.norm(v)
+
+    def test_below_the_crossover_never_touches_the_action(self, monkeypatch):
+        gen = expand_reachable(reference_seed(), reference_rules(), max_dim=96, accept_truncation=True)
+        assert gen.dim == 96 < dynamics.ACTION_MIN_DIM
+        calls = self.counted_propagator(monkeypatch)
+        monkeypatch.setattr(dynamics, "_taylor_action", None)  # never reached
+        v = self.unit_vector(gen.dim)
+        assert np.array_equal(gen.step(0.2)(v), gen.propagator(0.2) @ v)
+        assert calls == [0.2, 0.2]
+        assert "_real_operator" not in vars(gen)
+
+    @pytest.mark.parametrize("dt, complex_", [(50.0, False), (0.2, True)])
+    def test_past_the_crossover_large_step_or_complex_generator_takes_the_propagator(
+        self, monkeypatch, dt, complex_
+    ):
+        gen = expand_reachable(reference_seed(), reference_rules(), max_dim=300, accept_truncation=True)
+        if complex_:
+            gen = Generator(gen.basis, gen.matrix * (1 + 0j), frozenset())
+        calls = self.counted_propagator(monkeypatch)
+        monkeypatch.setattr(dynamics, "_taylor_action", None)  # never reached
+        v = self.unit_vector(gen.dim)
+        assert np.abs(gen.step(dt)(v) - expm_eigh(gen.matrix, dt) @ v).max() <= 1e-12
+        assert calls == [dt]
 
 
 class TestInterference:
